@@ -14,9 +14,10 @@ use crate::depgraph::{DepGraph, DepNode};
 use std::collections::{BTreeSet, VecDeque};
 use std::fmt::Write as _;
 use tagger_core::RuleSet;
-use tagger_sim::experiments::counterexample_replay;
-use tagger_sim::{FlowSpec, SimReport};
-use tagger_topo::{GlobalPort, NodeId, NodeKind, Topology};
+use tagger_routing::Fib;
+use tagger_sim::{FlowSpec, SimConfig, SimReport, Simulator};
+use tagger_switch::WatchdogConfig;
+use tagger_topo::{FailureSet, GlobalPort, NodeId, NodeKind, Topology};
 
 /// Depth cap for the approach search; Clos approach paths are short and
 /// anything longer would make a useless replay anyway.
@@ -84,16 +85,39 @@ impl Counterexample {
         out
     }
 
-    /// Replays the generated flows against `rules` in the simulator and
-    /// returns the report; `report.deadlock` being `Some` is the
-    /// demonstration that the cycle is live, not just structural.
+    /// Replays the generated flows against `rules` — the suspect tables
+    /// themselves, not a known-good tagging — under the testbed PFC
+    /// regime ([`SimConfig::testbed`]) with the structural deadlock
+    /// detector armed, and returns the report plus the flow labels.
+    /// `report.deadlock` being `Some` is the demonstration that the
+    /// cycle is live, not just structural.
+    ///
+    /// With `watchdog` set, the per-queue PFC watchdog is armed too:
+    /// every stuck queue the detector confirms as cycle-resident trips
+    /// within the window and is drained or demoted to lossy, after which
+    /// the fabric recovers — the data-plane safety net. Feed that report
+    /// to `tagger_scenario::quarantine_events` to close the loop into
+    /// the controller.
     pub fn replay(
         &self,
         topo: &Topology,
         rules: &RuleSet,
+        watchdog: Option<WatchdogConfig>,
         end_ns: u64,
     ) -> (SimReport, Vec<String>) {
-        counterexample_replay(topo, rules, self.flows.clone(), end_ns).run()
+        let fib = Fib::shortest_path(topo, &FailureSet::none());
+        let num_lossless = rules.max_tag().map_or(1, |t| t.0 as u8).max(1);
+        let cfg = SimConfig {
+            watchdog,
+            ..SimConfig::testbed(num_lossless, end_ns)
+        };
+        let mut sim = Simulator::new(topo.clone(), fib, Some(rules.clone()), cfg);
+        let mut labels = Vec::new();
+        for (label, spec) in &self.flows {
+            sim.add_flow(spec.clone());
+            labels.push(label.clone());
+        }
+        (sim.run(), labels)
     }
 }
 
@@ -278,7 +302,7 @@ mod tests {
             "every hop got a loop-free approach: {:?}",
             cx.describe(&topo)
         );
-        let (report, _labels) = cx.replay(&topo, &rules, end_ns);
+        let (report, _labels) = cx.replay(&topo, &rules, None, end_ns);
         assert!(
             report.deadlock.is_some(),
             "replay must demonstrate the deadlock"

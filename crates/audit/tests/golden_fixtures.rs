@@ -60,7 +60,7 @@ fn corrupted_checkpoint_yields_exactly_the_known_cycle() {
     // The generated flows demonstrate the deadlock in the simulator.
     let cx = report.counterexample.as_ref().expect("counterexample");
     assert_eq!(cx.flows.len(), 4, "one flow per cycle hop");
-    let (sim_report, _) = cx.replay(&ckpt.topo, &ckpt.rules, tagger_audit::REPLAY_END_NS);
+    let (sim_report, _) = cx.replay(&ckpt.topo, &ckpt.rules, None, tagger_audit::REPLAY_END_NS);
     assert!(
         sim_report.deadlock.is_some(),
         "counterexample replay must reach a detected deadlock"

@@ -47,9 +47,18 @@ fn bench_deadlock_scenario(c: &mut Criterion) {
         } else {
             "without_tagger"
         };
+        let mut scn = tagger_scenario::parse(if with_tagger {
+            include_str!("../../../examples/scenarios/fig10_tagger.scn")
+        } else {
+            include_str!("../../../examples/scenarios/fig10_vanilla.scn")
+        })
+        .expect("shipped scenario parses");
+        scn.end_ns = 2_000_000;
+        let opts = tagger_scenario::RunOptions::default();
         g.bench_function(name, |b| {
             b.iter(|| {
-                tagger_sim::experiments::fig10_bounce_deadlock(with_tagger, 2_000_000)
+                tagger_scenario::instantiate(&scn, &Default::default(), &opts)
+                    .expect("shipped scenario expands")
                     .run()
                     .0
                     .total_delivered_bytes()

@@ -25,12 +25,28 @@
 use std::fmt::Write as _;
 use std::process::ExitCode;
 use tagger_fleet::percentile_us;
-use tagger_sim::experiments::{
-    cycle_flows, incast_two_cycle, routing_loop_watchdog, unsafe_identity_rules, watchdog_rescue,
-};
+use tagger_scenario::{instantiate, parse, RunOptions};
 use tagger_sim::SimReport;
 use tagger_switch::WatchdogConfig;
-use tagger_topo::ClosConfig;
+
+/// The three scenarios, by bench name: the incast-fed two-cycle lock,
+/// the bounce-path cycle on the adversarial identity tables, and the
+/// routing-loop cycle. Each run re-arms the watchdog at the swept
+/// window.
+const SCENARIOS: [(&str, &str); 3] = [
+    (
+        "incast_two_cycle",
+        include_str!("../../../../examples/scenarios/two_cycle_diagnose.scn"),
+    ),
+    (
+        "bounce",
+        include_str!("../../../../examples/scenarios/counterexample_replay.scn"),
+    ),
+    (
+        "routing_loop",
+        include_str!("../../../../examples/scenarios/routing_loop_watchdog.scn"),
+    ),
+];
 
 /// Watchdog poll windows swept per scenario, in microseconds.
 const WINDOWS_US: [u64; 6] = [100, 150, 200, 250, 300, 400];
@@ -69,29 +85,15 @@ fn sample(scenario: &str, window_us: u64, report: &SimReport) -> Result<Sample, 
     })
 }
 
-fn run_scenario(name: &str) -> Result<Vec<Sample>, String> {
+fn run_scenario(name: &str, text: &str) -> Result<Vec<Sample>, String> {
+    let scn = parse(text).map_err(|e| format!("{name}: {e}"))?;
     let mut samples = Vec::new();
     for window_us in WINDOWS_US {
-        let window_ns = window_us * 1_000;
-        let report = match name {
-            "incast_two_cycle" => {
-                let mut exp = incast_two_cycle(None, 12_000_000);
-                exp.sim.arm_watchdog(WatchdogConfig::with_window(window_ns));
-                exp.sim.run()
-            }
-            "bounce" => {
-                let topo = ClosConfig::small().build();
-                let rules = unsafe_identity_rules(&topo);
-                let flows = cycle_flows(&topo, 4_000_000);
-                let cfg = WatchdogConfig::with_window(window_ns);
-                watchdog_rescue(&topo, &rules, flows, Some(cfg), 4_000_000)
-                    .run()
-                    .0
-            }
-            "routing_loop" => routing_loop_watchdog(window_ns, 4_000_000).sim.run(),
-            _ => unreachable!("unknown scenario"),
-        };
-        samples.push(sample(name, window_us, &report)?);
+        let mut exp = instantiate(&scn, &Default::default(), &RunOptions::default())
+            .map_err(|e| format!("{name}: {e}"))?;
+        exp.sim
+            .arm_watchdog(WatchdogConfig::with_window(window_us * 1_000));
+        samples.push(sample(name, window_us, &exp.sim.run())?);
     }
     Ok(samples)
 }
@@ -111,9 +113,8 @@ fn main() -> ExitCode {
         "  \"windows_us\": [{}],",
         WINDOWS_US.map(|w| w.to_string()).join(", ")
     );
-    let scenarios = ["incast_two_cycle", "bounce", "routing_loop"];
-    for (i, name) in scenarios.iter().enumerate() {
-        let samples = match run_scenario(name) {
+    for (i, (name, text)) in SCENARIOS.iter().enumerate() {
+        let samples = match run_scenario(name, text) {
             Ok(s) => s,
             Err(e) => {
                 eprintln!("attribution: {e}");
@@ -148,7 +149,7 @@ fn main() -> ExitCode {
         let _ = writeln!(
             json,
             "  }}{}",
-            if i + 1 < scenarios.len() { "," } else { "" }
+            if i + 1 < SCENARIOS.len() { "," } else { "" }
         );
     }
     json.push_str("}\n");

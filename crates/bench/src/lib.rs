@@ -9,29 +9,32 @@
 //! | Table 1 (reroute probability) | `table1_reroute` |
 //! | Tables 3/4 + Fig. 5 (walk-through rules) | `table34_rules` |
 //! | Table 5 (Jellyfish scalability) | `table5_jellyfish` |
-//! | Fig. 10 (1-bounce deadlock) | `fig10_bounce_deadlock` |
-//! | Fig. 11 (routing-loop deadlock) | `fig11_routing_loop` |
-//! | Fig. 12 (PAUSE propagation) | `fig12_pause_propagation` |
 //! | §4.4 optimality | `clos_optimality` |
 //! | §5.3 BCube tag count | `bcube_tags` |
 //! | §7 rule compression | `rule_compression` |
-//! | §8 performance penalty | `perf_penalty` |
 //! | §6 multi-class sharing | `multiclass_tags` |
-//! | Fig. 8 priority transition ablation | `fig8_transition` |
+//! | Figs. 8, 10, 11, 12, §8 performance penalty, and the simulator extensions (BCube ring, DCQCN, recovery, transient failure, queue dynamics, failure sweep) | `figures DIR`, from `examples/scenarios/*.scn` (see [`figures`]) |
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::unwrap_used)]
 
 pub mod fig5;
+pub mod figures;
 pub mod table5;
 
-/// Prints a TSV table with an echoed title comment, the common output
-/// format of the experiment binaries.
-pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
-    println!("# {title}");
-    println!("{}", header.join("\t"));
+/// A TSV table with an echoed title comment, the common output format
+/// of the experiment binaries.
+pub fn table(title: &str, header: &[&str], rows: &[Vec<String>]) -> String {
+    let mut out = format!("# {title}\n{}\n", header.join("\t"));
     for row in rows {
-        println!("{}", row.join("\t"));
+        out.push_str(&row.join("\t"));
+        out.push('\n');
     }
-    println!();
+    out.push('\n');
+    out
+}
+
+/// Prints a [`table`].
+pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
+    print!("{}", table(title, header, rows));
 }

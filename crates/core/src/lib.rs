@@ -37,6 +37,7 @@ pub mod clos;
 pub mod dscp;
 mod elp;
 mod graph;
+pub mod json;
 pub mod multiclass;
 pub mod oracle;
 mod rules;

@@ -9,13 +9,26 @@ use rand::{rngs::StdRng, seq::SliceRandom, RngExt, SeedableRng};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use tagger_core::clos::clos_tagging;
+use tagger_core::{RuleSet, SwitchRule, Tag};
 use tagger_routing::Fib;
-use tagger_sim::experiments::{
-    mask_hop, testbed_switch_config, unsafe_identity_rules, Experiment, TESTBED_PFC_DELAY_NS,
-};
-use tagger_sim::{Action, FlowSpec, QueueKind, SimConfig, Simulator};
-use tagger_switch::{SwitchConfig, WatchdogConfig, WatchdogPolicy};
-use tagger_topo::{ClosConfig, FailureSet, LinkId, NodeId, Topology};
+use tagger_sim::{Action, FlowSpec, QueueKind, SimConfig, SimReport, Simulator};
+use tagger_switch::{WatchdogConfig, WatchdogPolicy};
+use tagger_topo::{ClosConfig, FailureSet, LinkId, NodeId, PortId, Topology};
+
+/// A scenario point expanded into a ready-to-run simulator.
+pub struct Experiment {
+    /// The configured simulator.
+    pub sim: Simulator,
+    /// Human labels for each flow, in handle order.
+    pub labels: Vec<String>,
+}
+
+impl Experiment {
+    /// Runs and returns the report (convenience).
+    pub fn run(mut self) -> (SimReport, Vec<String>) {
+        (self.sim.run(), self.labels)
+    }
+}
 
 /// Runner-level overrides for one expansion.
 #[derive(Clone, Debug)]
@@ -117,15 +130,55 @@ fn link(topo: &Topology, a: &str, b: &str) -> Result<LinkId, ExpandError> {
 }
 
 /// The egress port of `sw` facing `nbr`.
-fn port_towards(
-    topo: &Topology,
-    sw: NodeId,
-    nbr: NodeId,
-) -> Result<tagger_topo::PortId, ExpandError> {
+fn port_towards(topo: &Topology, sw: NodeId, nbr: NodeId) -> Result<PortId, ExpandError> {
     topo.neighbors(sw)
         .find(|&(_, _, peer)| peer == nbr)
         .map(|(p, _, _)| p)
         .ok_or_else(|| err("mask endpoints are not adjacent"))
+}
+
+/// The adversarial single-priority program (keep tag 1 across every
+/// port pair): its dependency graph contains the Fig. 3 CBD. This is
+/// the canonical "corrupted tables" input for the safety-net and
+/// attribution drills — one lossless priority, no tag increments, so
+/// any circular route can lock.
+fn unsafe_identity_rules(topo: &Topology) -> RuleSet {
+    let mut rules = RuleSet::new();
+    for sw in topo.switch_ids() {
+        let ports: Vec<PortId> = topo.neighbors(sw).map(|(p, _, _)| p).collect();
+        for &in_port in &ports {
+            for &out_port in &ports {
+                if in_port != out_port {
+                    rules.set(
+                        sw,
+                        SwitchRule {
+                            tag: Tag(1),
+                            in_port,
+                            out_port,
+                            new_tag: Tag(1),
+                        },
+                    );
+                }
+            }
+        }
+    }
+    rules
+}
+
+/// `rules` minus every rule leaving `switch` through `port` — the
+/// data-plane meaning of a controller quarantine of that hop. Packets
+/// that would cross the masked hop stop matching in the tag table and
+/// travel the lossy class instead, so the hop can no longer take part
+/// in a PFC cycle (and no longer pauses its upstream).
+fn mask_hop(rules: &RuleSet, switch: NodeId, port: PortId) -> RuleSet {
+    let mut masked = RuleSet::new();
+    for (sw, rule) in rules.iter() {
+        if sw == switch && rule.out_port == port {
+            continue;
+        }
+        masked.set(sw, rule);
+    }
+    masked
 }
 
 /// Websearch-style flow sizes (heavy tail, bytes).
@@ -234,20 +287,14 @@ pub fn instantiate(
     // switch model handles that internally, so `queues` stays as tagged.
 
     // --- SimConfig ---------------------------------------------------
-    let mut switch = testbed_switch_config(queues);
+    let mut cfg = SimConfig::testbed(queues, end_ns);
     if let Some(b) = &s.buffer_bytes {
-        switch.buffer_bytes = ctx.num(b, "buffer")?;
+        cfg.switch.buffer_bytes = ctx.num(b, "buffer")?;
     }
     if s.dcqcn {
-        switch = SwitchConfig {
-            ecn_threshold_bytes: Some(30_000),
-            ..switch
-        };
+        cfg.switch.ecn_threshold_bytes = Some(30_000);
     }
     let cfg = SimConfig {
-        switch,
-        pfc_extra_delay_ns: TESTBED_PFC_DELAY_NS,
-        end_time_ns: end_ns,
         transition: if s.old_tag_transition {
             tagger_switch::TransitionMode::EgressByOldTag
         } else {
@@ -273,7 +320,7 @@ pub fn instantiate(
             Some(true) => QueueKind::BinaryHeap,
             _ => QueueKind::TimingWheel,
         }),
-        ..SimConfig::default()
+        ..cfg
     };
 
     let fib = Fib::shortest_path(&topo, &FailureSet::none());
@@ -402,7 +449,7 @@ enum Resolved {
     Reconverge,
     FlapLeg(LinkId, bool),
     Route(NodeId, NodeId, NodeId),
-    Mask(NodeId, tagger_topo::PortId),
+    Mask(NodeId, PortId),
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -411,7 +458,7 @@ fn schedule_events(
     ctx: &NumCtx<'_>,
     topo: &Topology,
     sim: &mut Simulator,
-    rules: Option<tagger_core::RuleSet>,
+    rules: Option<RuleSet>,
     mut controller: Option<tagger_ctrl::Controller>,
     mut chaos_sb: Option<tagger_ctrl::ChaosSouthbound>,
     rng: &mut StdRng,

@@ -11,7 +11,7 @@
 //! - [`parse`] — the `.scn` parser, with [`Span`](tagger_core::Span)-
 //!   carrying diagnostics in the house lint style;
 //! - [`expand`] — deterministic expansion of a scenario (at one sweep
-//!   point) into a ready-to-run [`Experiment`](tagger_sim::Experiment);
+//!   point) into a ready-to-run [`Experiment`];
 //! - [`asserts`] — evaluation of the `assert` block against the
 //!   finished [`SimReport`](tagger_sim::SimReport);
 //! - [`report`] — per-scenario/per-point suite results with a
@@ -46,7 +46,7 @@ pub mod report;
 pub mod schedule;
 
 pub use asserts::{evaluate, feasibility_verdict, max_pause_ns, AssertOutcome};
-pub use expand::{clos_for_hosts, instantiate, points, ExpandError, RunOptions};
+pub use expand::{clos_for_hosts, instantiate, points, ExpandError, Experiment, RunOptions};
 pub use model::{
     AssertSpec, Cmp, EventSpec, FlowDecl, Num, Scenario, Sweep, TaggerMode, TimeSpec, TopoSpec,
     WatchdogDecl, Workload,
@@ -94,4 +94,38 @@ pub fn run_scenario(text: &str, file: &str, opts: &RunOptions) -> Result<Scenari
         }
     }
     Ok(result)
+}
+
+/// Maps a finished run's watchdog trips to controller events, one
+/// [`CtrlEvent::WatchdogTrip`](tagger_ctrl::CtrlEvent::WatchdogTrip)
+/// per distinct `(switch, port, priority)` — repeat trips of the same
+/// queue (hold-down expiry, re-trip) collapse into the one quarantine
+/// they would produce. Priority `p` carries tag `p + 1`, the inverse of
+/// the tag→queue mapping the data plane uses.
+///
+/// When the run attributed an initial trigger, every trip of that
+/// episode carries it as [`tagger_ctrl::TriggerInfo`] so the controller
+/// quarantines the *cause*; runs without attribution produce exactly the
+/// events they always did (victim-directed fallback).
+pub fn quarantine_events(report: &tagger_sim::SimReport) -> Vec<tagger_ctrl::CtrlEvent> {
+    let Some(wd) = &report.watchdog else {
+        return Vec::new();
+    };
+    let tag = |prio: u8| tagger_core::Tag(prio as u16 + 1);
+    let trigger = wd.trigger.as_ref().map(|t| tagger_ctrl::TriggerInfo {
+        switch: t.switch,
+        port: t.port,
+        tag: tag(t.prio),
+    });
+    let mut seen = std::collections::BTreeSet::new();
+    wd.trips
+        .iter()
+        .filter(|t| seen.insert((t.switch, t.port, t.prio)))
+        .map(|t| tagger_ctrl::CtrlEvent::WatchdogTrip {
+            switch: t.switch,
+            port: t.port,
+            tag: tag(t.prio),
+            trigger,
+        })
+        .collect()
 }

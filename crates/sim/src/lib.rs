@@ -53,13 +53,11 @@ mod sim;
 
 pub mod queue;
 
-pub mod experiments;
 pub mod probe;
 
 pub use dcqcn::DcqcnConfig;
 pub use deadlock::DeadlockReport;
 pub use event::{QueueKind, SimTime};
-pub use experiments::Experiment;
 pub use flow::{FlowReport, FlowSpec, Route};
 pub use report::{SimReport, TriggerAttribution, WatchdogReport, WatchdogTripRecord};
 pub use sim::{Action, SimConfig, Simulator};

@@ -126,8 +126,8 @@ pub struct SimReport {
     pub link_down_drops: u64,
     /// PFC-watchdog activity; `None` when no watchdog was configured.
     pub watchdog: Option<WatchdogReport>,
-    /// Sampled byte depths of the queues named in
-    /// [`crate::SimConfig::track_queues`]: one row per sample tick, one
+    /// Sampled byte depths of the queues registered with
+    /// [`crate::Simulator::track_queue`]: one row per sample tick, one
     /// column per tracked queue.
     pub queue_series: Vec<Vec<u64>>,
     /// Simulation horizon.

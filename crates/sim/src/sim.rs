@@ -33,10 +33,6 @@ pub struct SimConfig {
     pub end_time_ns: u64,
     /// Run the structural deadlock detector at every sample tick.
     pub deadlock_check: bool,
-    /// Egress queues whose byte depth is sampled each tick (reported in
-    /// [`crate::SimReport::queue_series`]). A frozen deadlocked queue
-    /// shows as a flat line; a healthy congested queue breathes.
-    pub track_queues: Vec<(NodeId, PortId, u8)>,
     /// DCQCN-lite congestion control (paper §6): switches must also set
     /// [`SwitchConfig::ecn_threshold_bytes`] for marking to happen.
     pub dcqcn: Option<crate::dcqcn::DcqcnConfig>,
@@ -50,8 +46,8 @@ pub struct SimConfig {
     /// Detect-and-break recovery (the prior-work category the paper's §1
     /// critiques): when a deadlock cycle is detected, flush one of its
     /// gated queues — dropping lossless packets — to break it. The
-    /// deadlock typically reforms moments later; see the
-    /// `recovery_baseline` experiment.
+    /// deadlock typically reforms moments later; see
+    /// `examples/scenarios/recovery_vanilla.scn`.
     pub recovery: bool,
     /// Per-queue PFC watchdog (paper §4.4 escape hatch): a lossless queue
     /// that stays tx-paused with data for a full window — and sits on a
@@ -64,6 +60,31 @@ pub struct SimConfig {
     pub queue: crate::QueueKind,
 }
 
+impl SimConfig {
+    /// The regime of the testbed reproductions: small PFC thresholds so
+    /// PFC engages at the microsecond timescale of the simulations (the
+    /// paper's switches behave identically at the second timescale of
+    /// real traffic), and a µs-scale PFC reaction delay, like real MAC +
+    /// scheduling latency. Together these sit where a cyclic buffer
+    /// dependency actually *locks* rather than resolving into a paced
+    /// steady state — the same property the paper's hardware exhibits.
+    pub fn testbed(num_lossless: u8, end_ns: u64) -> SimConfig {
+        SimConfig {
+            switch: SwitchConfig {
+                num_lossless,
+                buffer_bytes: 12 * 1024 * 1024,
+                xoff_bytes: 40_000,
+                xon_bytes: 4_000,
+                lossy_queue_bytes: 200_000,
+                ecn_threshold_bytes: None,
+            },
+            pfc_extra_delay_ns: 3_000,
+            end_time_ns: end_ns,
+            ..SimConfig::default()
+        }
+    }
+}
+
 impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
@@ -74,7 +95,6 @@ impl Default for SimConfig {
             sample_interval_ns: 100_000, // 100 µs
             end_time_ns: 10_000_000,     // 10 ms
             deadlock_check: true,
-            track_queues: Vec::new(),
             dcqcn: None,
             pause_quanta_ns: None,
             recovery: false,
@@ -160,6 +180,9 @@ pub struct Simulator {
     recoveries: u64,
     recovery_drops: u64,
     link_down_drops: u64,
+    /// Egress queues sampled into `queue_series` (see
+    /// [`Simulator::track_queue`]).
+    tracked_queues: Vec<(NodeId, PortId, u8)>,
     queue_series: Vec<Vec<u64>>,
     /// Per-queue watchdog state machines, created lazily on first
     /// symptom (a paused, non-empty lossless queue).
@@ -230,6 +253,7 @@ impl Simulator {
             recoveries: 0,
             recovery_drops: 0,
             link_down_drops: 0,
+            tracked_queues: Vec::new(),
             queue_series: Vec::new(),
             watchdogs: BTreeMap::new(),
             wd_stats: WatchdogStats::default(),
@@ -290,10 +314,24 @@ impl Simulator {
         self.cfg.watchdog = Some(cfg);
     }
 
+    /// Samples the byte depth of `node`'s egress `queue` on `port` at
+    /// every tick (reported in [`crate::SimReport::queue_series`], one
+    /// column per tracked queue, in call order). A frozen deadlocked
+    /// queue shows as a flat line; a healthy congested queue breathes.
+    pub fn track_queue(&mut self, node: NodeId, port: PortId, queue: u8) {
+        self.tracked_queues.push((node, port, queue));
+    }
+
     /// Read-only view of one node's data plane, for post-run inspection
     /// (queue occupancy, held trigger stamps, PFC gating).
     pub fn switch_state(&self, node: NodeId) -> Option<&SwitchState> {
         self.switches.get(&node)
+    }
+
+    /// The installed Tagger program: as built before a run, as the
+    /// scripted rule updates left it after one.
+    pub fn rules(&self) -> Option<&RuleSet> {
+        self.rules.as_ref()
     }
 
     /// The topology (for scenario builders).
@@ -752,10 +790,9 @@ impl Simulator {
             f.last_sample_bytes = f.delivered_bytes;
             f.rate_series.push(delta as f64 * 8.0 / dt_s);
         }
-        if !self.cfg.track_queues.is_empty() {
+        if !self.tracked_queues.is_empty() {
             let row = self
-                .cfg
-                .track_queues
+                .tracked_queues
                 .iter()
                 .map(|&(node, port, queue)| {
                     self.switches

@@ -70,39 +70,6 @@ proptest! {
         };
         prop_assert_eq!(run(), run());
     }
-
-    /// Initial-trigger attribution, whenever produced, names a member of
-    /// the confirmed SCC it reports, and its timestamps are causally
-    /// ordered — even with randomized background traffic layered on top
-    /// of the deadlock-prone cycle workload.
-    #[test]
-    fn attribution_names_scc_member(noise in proptest::collection::vec(0usize..256, 0..6)) {
-        use tagger_sim::experiments::{cycle_flows, unsafe_identity_rules, watchdog_rescue};
-        let topo = ClosConfig::small().build();
-        let rules = unsafe_identity_rules(&topo);
-        let mut flows = cycle_flows(&topo, 4_000_000);
-        let hosts: Vec<NodeId> = topo.host_ids().collect();
-        for (i, s) in noise.iter().enumerate() {
-            let src = hosts[s % hosts.len()];
-            let dst = hosts[(s / 7 + 3 * i + 1) % hosts.len()];
-            if src != dst {
-                flows.push((format!("noise{i}"), FlowSpec::new(src, dst, 0).with_limit(100_000)));
-            }
-        }
-        let wd = tagger_switch::WatchdogConfig::with_window(200_000);
-        let (report, _) = watchdog_rescue(&topo, &rules, flows, Some(wd), 4_000_000).run();
-        let w = report.watchdog.expect("watchdog armed");
-        if let Some(trig) = w.trigger {
-            prop_assert!(
-                trig.scc.contains(&trig.queue()),
-                "attributed queue {:?} outside its SCC {:?}", trig.queue(), trig.scc
-            );
-            prop_assert!(trig.attributed_at >= trig.pause_epoch);
-            if let Some(first) = w.first_trip_at {
-                prop_assert!(first >= trig.attributed_at);
-            }
-        }
-    }
 }
 
 /// A flow with a byte limit injects exactly that many bytes and they all

@@ -2,20 +2,26 @@
 //! close a cyclic buffer dependency and freeze the fabric — unless
 //! Tagger is deployed.
 //!
-//! Runs the packet-level simulation twice (without/with Tagger) and
-//! prints the two flows' goodput over time.
+//! Runs the shipped `fig10_vanilla.scn` / `fig10_tagger.scn` scenario
+//! pair through the packet-level simulator and prints the two flows'
+//! goodput over time.
 //!
 //! ```sh
 //! cargo run --release --example clos_deadlock
 //! ```
 
-use tagger::sim::experiments::fig10_bounce_deadlock;
+use tagger::scenario::{instantiate, parse, RunOptions};
 
 fn main() {
-    const END_NS: u64 = 8_000_000; // 8 ms
-
-    for with_tagger in [false, true] {
-        let (report, labels) = fig10_bounce_deadlock(with_tagger, END_NS).run();
+    let pair = [
+        include_str!("scenarios/fig10_vanilla.scn"),
+        include_str!("scenarios/fig10_tagger.scn"),
+    ];
+    for (with_tagger, text) in [false, true].into_iter().zip(pair) {
+        let scn = parse(text).expect("shipped scenario parses");
+        let (report, labels) = instantiate(&scn, &Default::default(), &RunOptions::default())
+            .expect("shipped scenario expands")
+            .run();
         println!(
             "=== {} Tagger ===",
             if with_tagger { "WITH" } else { "WITHOUT" }

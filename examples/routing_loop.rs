@@ -4,26 +4,32 @@
 //! buffer dependency and an innocent flow through the same links freezes
 //! forever — even though the loop's packets all die of TTL. With Tagger,
 //! the loopers fall into the lossy class at the first hairpin and the
-//! innocent flow never notices.
+//! innocent flow never notices. Runs the shipped `fig11_vanilla.scn` /
+//! `fig11_tagger.scn` scenario pair.
 //!
 //! ```sh
 //! cargo run --release --example routing_loop
 //! ```
 
-use tagger::sim::experiments::fig11_routing_loop;
+use tagger::scenario::{instantiate, parse, RunOptions};
 
 fn main() {
-    const END_NS: u64 = 8_000_000;
-
-    for with_tagger in [false, true] {
-        let (report, labels) = fig11_routing_loop(with_tagger, END_NS).run();
+    let pair = [
+        include_str!("scenarios/fig11_vanilla.scn"),
+        include_str!("scenarios/fig11_tagger.scn"),
+    ];
+    for (with_tagger, text) in [false, true].into_iter().zip(pair) {
+        let scn = parse(text).expect("shipped scenario parses");
+        let (report, labels) = instantiate(&scn, &Default::default(), &RunOptions::default())
+            .expect("shipped scenario expands")
+            .run();
         println!(
             "=== {} Tagger ===",
             if with_tagger { "WITH" } else { "WITHOUT" }
         );
         println!(
             "loop installed at t={} µs; deadlock: {}",
-            END_NS / 5 / 1_000,
+            report.end_time_ns / 5 / 1_000,
             match &report.deadlock {
                 Some(d) => format!("YES at t={} µs", d.detected_at / 1_000),
                 None => "no".to_string(),

@@ -144,7 +144,7 @@ fn cmd_check(rest: &[String]) -> Result<ExitCode, String> {
     print!("{}", report.render(&topo));
     if flags.contains_key("replay") {
         if let Some(cx) = &report.counterexample {
-            let (sim_report, labels) = cx.replay(&topo, &rules, tagger::audit::REPLAY_END_NS);
+            let (sim_report, labels) = cx.replay(&topo, &rules, None, tagger::audit::REPLAY_END_NS);
             match &sim_report.deadlock {
                 Some(d) => {
                     println!(

@@ -265,7 +265,7 @@ fn watchdog_drill(
     journal_path: Option<String>,
 ) -> Result<(), String> {
     use tagger::audit::REPLAY_END_NS;
-    use tagger::sim::experiments::{quarantine_events, watchdog_rescue};
+    use tagger::scenario::quarantine_events;
     use tagger::switch::WatchdogConfig;
 
     let ckpt = checkpoint::parse(include_str!("../../examples/corrupted.ckpt"))
@@ -286,8 +286,7 @@ fn watchdog_drill(
     );
 
     // Baseline: with the watchdog off the deadlock is permanent.
-    let (baseline, _) =
-        watchdog_rescue(&topo, &ckpt.rules, cx.flows.clone(), None, REPLAY_END_NS).run();
+    let (baseline, _) = cx.replay(&topo, &ckpt.rules, None, REPLAY_END_NS);
     if baseline.deadlock.is_none() {
         return Err("baseline (watchdog off) did not deadlock".into());
     }
@@ -299,14 +298,7 @@ fn watchdog_drill(
     // Armed: recovery within two windows of the first trip.
     let window_ns = window_us * 1_000;
     let cfg = WatchdogConfig::with_policy(window_ns, policy);
-    let (report, _) = watchdog_rescue(
-        &topo,
-        &ckpt.rules,
-        cx.flows.clone(),
-        Some(cfg),
-        REPLAY_END_NS,
-    )
-    .run();
+    let (report, _) = cx.replay(&topo, &ckpt.rules, Some(cfg), REPLAY_END_NS);
     let wd = report
         .watchdog
         .clone()

@@ -60,6 +60,7 @@ pub mod prelude {
     pub use tagger_ctrl::{Controller, CtrlEvent, ElpPolicy};
     pub use tagger_fleet::{FabricSpec, Fleet, FleetConfig};
     pub use tagger_routing::{updown_paths, Path};
-    pub use tagger_sim::{Experiment, Simulator};
+    pub use tagger_scenario::Experiment;
+    pub use tagger_sim::Simulator;
     pub use tagger_topo::{ClosConfig, Layer, NodeId, Topology};
 }

@@ -109,9 +109,16 @@ fn rules_are_monotone_along_paths() {
 /// the paper's whole point, exercised across all five crates.
 #[test]
 fn tagger_is_the_difference_between_deadlock_and_not() {
-    use tagger::sim::experiments::fig10_bounce_deadlock;
-    let (without, _) = fig10_bounce_deadlock(false, 4_000_000).run();
-    let (with, _) = fig10_bounce_deadlock(true, 4_000_000).run();
+    use tagger::scenario::{instantiate, parse, RunOptions};
+    let run = |text: &str| {
+        let s = parse(text).expect("shipped scenario parses");
+        instantiate(&s, &Default::default(), &RunOptions::default())
+            .expect("shipped scenario expands")
+            .run()
+            .0
+    };
+    let without = run(include_str!("../examples/scenarios/fig10_vanilla.scn"));
+    let with = run(include_str!("../examples/scenarios/fig10_tagger.scn"));
     assert!(without.deadlock.is_some());
     assert!(with.deadlock.is_none());
     assert_eq!(without.stalled_flows(5), 2);
@@ -145,7 +152,7 @@ fn watchdog_safety_net_closes_the_loop() {
         recover, Controller, ElpPolicy, EpochOutcome, InstallPolicy, Journal, ReliableSouthbound,
         Southbound as _,
     };
-    use tagger::sim::experiments::{quarantine_events, watchdog_rescue};
+    use tagger::scenario::quarantine_events;
     use tagger::switch::WatchdogConfig;
 
     // 1. Audit the corrupted tables: violation + replayable cycle.
@@ -156,20 +163,12 @@ fn watchdog_safety_net_closes_the_loop() {
     let cx = audit.counterexample.expect("cycle counterexample");
 
     // 2. Without the watchdog the counterexample deadlocks for good.
-    let (baseline, _) =
-        watchdog_rescue(&topo, &ckpt.rules, cx.flows.clone(), None, REPLAY_END_NS).run();
+    let (baseline, _) = cx.replay(&topo, &ckpt.rules, None, REPLAY_END_NS);
     assert!(baseline.deadlock.is_some(), "baseline must deadlock");
 
     // 3. Armed, the confirmed cycle trips and clears within two windows.
     let cfg = WatchdogConfig::with_window(200_000);
-    let (report, _) = watchdog_rescue(
-        &topo,
-        &ckpt.rules,
-        cx.flows.clone(),
-        Some(cfg),
-        REPLAY_END_NS,
-    )
-    .run();
+    let (report, _) = cx.replay(&topo, &ckpt.rules, Some(cfg), REPLAY_END_NS);
     let wd = report.watchdog.clone().expect("watchdog report");
     assert!(wd.stats.trips >= 1);
     let first = wd.first_trip_at.unwrap();
