@@ -26,38 +26,17 @@ use std::fmt::Write as _;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
-use tagger_ctrl::{ChaosConfig, CtrlEvent};
+use tagger_ctrl::ChaosConfig;
 use tagger_fleet::net::{
     send_lines, ChaosTransport, ClientConfig, NetChaosConfig, ServeConfig, Server,
 };
+use tagger_fleet::{fabric_seed, schedule_lines};
 use tagger_topo::{ClosConfig, Topology};
 
 fn flag(args: &[String], name: &str) -> Option<String> {
     args.iter()
         .position(|a| a == name)
         .and_then(|i| args.get(i + 1).cloned())
-}
-
-/// SplitMix64 — the soak harness's per-fabric seed derivation.
-fn fabric_seed(master: u64, i: u64) -> u64 {
-    let mut z = master.wrapping_add(i.wrapping_add(1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-fn schedule_lines(
-    topo: &Topology,
-    name: &str,
-    seed: u64,
-    mix: usize,
-    events: usize,
-) -> Vec<String> {
-    let mixes = tagger_scenario::schedule::library();
-    tagger_scenario::schedule::events(&mixes[mix % mixes.len()], topo, seed, events)
-        .iter()
-        .map(|e: &CtrlEvent| format!("{name}: {}", e.trace_line(topo)))
-        .collect()
 }
 
 struct LegResult {

@@ -1,7 +1,9 @@
 //! The two-phase controller: stage → validate → commit-or-rollback.
 
 use crate::event::CtrlEvent;
+use crate::journal::JournalError;
 use crate::metrics::ControllerMetrics;
+use crate::observer::CommitObserver;
 use crate::southbound::Southbound;
 use crate::state::{ElpPolicy, NetworkState};
 use std::fmt;
@@ -386,15 +388,8 @@ impl Controller {
         self.metrics.checkpoints += 1;
     }
 
-    /// Counts link transitions absorbed by flap damping. Public so
-    /// external batching layers that run their own [`DampingPolicy`]
-    /// (e.g. a fleet ingest queue) and call
-    /// [`Controller::handle_batch_via`] directly can keep this metric
-    /// truthful: bump by `batch.len() - 1` per damped batch, matching
-    /// what [`Controller::replay_damped_via`] records.
-    ///
-    /// [`DampingPolicy`]: crate::DampingPolicy
-    pub fn bump_flaps_damped(&mut self, n: u64) {
+    /// Counts link transitions absorbed by flap damping.
+    pub(crate) fn bump_flaps_damped(&mut self, n: u64) {
         self.metrics.flaps_damped += n;
     }
 
@@ -536,41 +531,22 @@ impl Controller {
     /// maximal run of consecutive link events on the *same* link (a
     /// flapping transceiver re-announcing down/up/down/up…) is debounced
     /// into a single recompute of its net effect, instead of staging a
-    /// full tagging per transition. Returns one outcome per damped
-    /// batch; [`ControllerMetrics::flaps_damped`] counts the recomputes
-    /// saved.
-    pub fn replay_damped_via<'a>(
+    /// full tagging per transition. Each batch goes through
+    /// [`Controller::apply_batch`] without a journal, so `observer` sees
+    /// every committed epoch (rollbacks are not observed; pass
+    /// [`NoopObserver`](crate::NoopObserver) to skip). Returns one
+    /// outcome per damped batch; [`ControllerMetrics::flaps_damped`]
+    /// counts the recomputes saved.
+    pub fn replay_damped_via(
         &mut self,
-        events: impl IntoIterator<Item = &'a CtrlEvent>,
+        events: &[CtrlEvent],
         southbound: &mut dyn Southbound,
         policy: &InstallPolicy,
-    ) -> Result<Vec<EpochOutcome>, CtrlError> {
-        self.replay_damped_via_observed(events, southbound, policy, &mut crate::NoopObserver)
-    }
-
-    /// Like [`Controller::replay_damped_via`], but invoking `observer`
-    /// after every committed epoch (rollbacks are not observed) — the
-    /// entry point for running an independent audit of each epoch's
-    /// installed tables alongside the replay.
-    pub fn replay_damped_via_observed<'a>(
-        &mut self,
-        events: impl IntoIterator<Item = &'a CtrlEvent>,
-        southbound: &mut dyn Southbound,
-        policy: &InstallPolicy,
-        observer: &mut dyn crate::CommitObserver,
-    ) -> Result<Vec<EpochOutcome>, CtrlError> {
-        let events: Vec<&CtrlEvent> = events.into_iter().collect();
-        let mut outcomes = Vec::new();
-        for batch in coalesce_flaps(&events) {
-            self.metrics.flaps_damped += batch.len() as u64 - 1;
-            let owned: Vec<CtrlEvent> = batch.iter().map(|&e| e.clone()).collect();
-            let outcome = self.handle_batch_via(&owned, southbound, policy)?;
-            if let EpochOutcome::Committed(report) = &outcome {
-                observer.on_commit(&self.topo, &self.committed, report);
-            }
-            outcomes.push(outcome);
-        }
-        Ok(outcomes)
+        observer: &mut dyn CommitObserver,
+    ) -> Result<Vec<EpochOutcome>, JournalError> {
+        let report =
+            crate::journal::drive(self, None, events, southbound, policy, 0, None, observer)?;
+        Ok(report.outcomes)
     }
 
     /// Drives the fleet to the committed tables: diffs what the
@@ -771,32 +747,6 @@ enum Plan {
         candidate: Snapshot,
         report: CommitReport,
     },
-}
-
-/// Splits an event stream into damping batches: maximal runs of
-/// consecutive link events on the same link collapse into one batch
-/// (one recompute of the run's net effect); every other event is its
-/// own singleton batch.
-pub fn coalesce_flaps<'a>(events: &'a [&'a CtrlEvent]) -> Vec<&'a [&'a CtrlEvent]> {
-    fn link_of(e: &CtrlEvent) -> Option<LinkId> {
-        match e {
-            CtrlEvent::LinkDown(l) | CtrlEvent::LinkUp(l) => Some(*l),
-            _ => None,
-        }
-    }
-    let mut batches = Vec::new();
-    let mut start = 0;
-    while start < events.len() {
-        let mut end = start + 1;
-        if let Some(link) = link_of(events[start]) {
-            while end < events.len() && link_of(events[end]) == Some(link) {
-                end += 1;
-            }
-        }
-        batches.push(&events[start..end]);
-        start = end;
-    }
-    batches
 }
 
 /// Stage step: recompute the tagging for a state and certify it.
@@ -1087,7 +1037,12 @@ mod tests {
         let events = parse_trace(ctrl.topo(), "flap L1 T1 4\ndown L2 T2").unwrap();
         assert_eq!(events.len(), 9);
         let outcomes = ctrl
-            .replay_damped_via(events.iter(), &mut sb, &InstallPolicy::default())
+            .replay_damped_via(
+                &events,
+                &mut sb,
+                &InstallPolicy::default(),
+                &mut crate::NoopObserver,
+            )
             .unwrap();
         assert_eq!(outcomes.len(), 2, "8 flap events + 1 failure → 2 epochs");
         assert_eq!(ctrl.metrics().flaps_damped, 7);

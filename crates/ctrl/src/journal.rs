@@ -36,9 +36,10 @@
 //! checkpointing) is ignored and recovery falls back to the previous
 //! complete one.
 
-use crate::controller::coalesce_flaps;
 use crate::controller::{Controller, CtrlError, EpochOutcome, InstallPolicy};
+use crate::damping::Damping;
 use crate::event::{parse_trace, CtrlEvent, TraceError};
+use crate::observer::CommitObserver;
 use crate::southbound::Southbound;
 use crate::state::{ElpPolicy, NetworkState};
 use std::fmt;
@@ -105,6 +106,9 @@ impl From<CtrlError> for JournalError {
 pub struct Journal {
     path: PathBuf,
     file: File,
+    /// Outcome markers written through this handle; drives the
+    /// checkpoint cadence of [`Controller::apply_batch`].
+    outcomes: u64,
 }
 
 impl Journal {
@@ -113,14 +117,22 @@ impl Journal {
         let path = path.into();
         let mut file = File::create(&path)?;
         writeln!(file, "# tagger-ctrl journal v1")?;
-        Ok(Journal { path, file })
+        Ok(Journal {
+            path,
+            file,
+            outcomes: 0,
+        })
     }
 
     /// Reopens an existing journal for appending (after recovery).
     pub fn open_append(path: impl Into<PathBuf>) -> Result<Self, JournalError> {
         let path = path.into();
         let file = OpenOptions::new().append(true).open(&path)?;
-        Ok(Journal { path, file })
+        Ok(Journal {
+            path,
+            file,
+            outcomes: 0,
+        })
     }
 
     /// The file this journal appends to.
@@ -148,6 +160,7 @@ impl Journal {
         };
         writeln!(self.file, "{marker} {batch}")?;
         self.file.sync_data()?;
+        self.outcomes += 1;
         Ok(())
     }
 
@@ -190,14 +203,19 @@ impl Journal {
     }
 
     /// Drives a journaled, flap-damped, southbound-installed replay:
-    /// each damped batch is journaled write-ahead, processed through
-    /// [`Controller::handle_batch_via`], its outcome journaled, and a
-    /// checkpoint written every `checkpoint_every` outcomes (0 = never).
+    /// each damped batch goes through [`Controller::apply_batch`] with
+    /// this journal, so it is journaled write-ahead, installed, its
+    /// outcome journaled, and a checkpoint written every
+    /// `checkpoint_every` outcomes (0 = never). `observer` sees every
+    /// committed epoch after its outcome has been journaled (pass
+    /// [`NoopObserver`](crate::NoopObserver) to skip); rollbacks and the
+    /// simulated crash are not observed.
     ///
     /// `crash_after` simulates a controller crash for recovery drills:
     /// after that many outcomes, the *next* batch's events are journaled
     /// (the write-ahead had happened) but never processed, and driving
     /// stops with `crashed = true` — the canonical mid-epoch crash.
+    #[allow(clippy::too_many_arguments)]
     pub fn drive(
         &mut self,
         ctrl: &mut Controller,
@@ -206,64 +224,107 @@ impl Journal {
         policy: &InstallPolicy,
         checkpoint_every: u64,
         crash_after: Option<u64>,
+        observer: &mut dyn CommitObserver,
     ) -> Result<DriveReport, JournalError> {
-        self.drive_observed(
+        drive(
             ctrl,
+            Some(self),
             events,
             southbound,
             policy,
             checkpoint_every,
             crash_after,
-            &mut crate::NoopObserver,
+            observer,
         )
     }
+}
 
-    /// Like [`Journal::drive`], but invoking `observer` after every
-    /// committed epoch's outcome has been journaled, so an independent
-    /// audit of the installed tables rides along with the journaled
-    /// replay. Rollbacks and the simulated crash are not observed.
-    #[allow(clippy::too_many_arguments)]
-    pub fn drive_observed(
+impl Controller {
+    /// The write-ahead batch step — the one place an epoch is applied.
+    /// With a journal, every event of `batch` is journaled *before* the
+    /// batch is staged; then [`Controller::handle_batch_via`] runs the
+    /// two-phase rollout, the damping metric absorbs the batch's extra
+    /// events, the outcome marker (`!ok`/`!rollback`) is journaled,
+    /// `observer` sees the epoch if it committed, and a checkpoint is
+    /// written once every `checkpoint_every` outcomes the journal has
+    /// recorded (0 = never). Without a journal the same steps run minus
+    /// the journal writes.
+    pub fn apply_batch(
         &mut self,
-        ctrl: &mut Controller,
-        events: &[CtrlEvent],
+        batch: &[CtrlEvent],
+        mut journal: Option<&mut Journal>,
+        checkpoint_every: u64,
         southbound: &mut dyn Southbound,
         policy: &InstallPolicy,
-        checkpoint_every: u64,
-        crash_after: Option<u64>,
-        observer: &mut dyn crate::CommitObserver,
-    ) -> Result<DriveReport, JournalError> {
-        let refs: Vec<&CtrlEvent> = events.iter().collect();
-        let mut outcomes = Vec::new();
-        for batch in coalesce_flaps(&refs) {
-            let crash_now = crash_after.is_some_and(|n| outcomes.len() as u64 >= n);
+        observer: &mut dyn CommitObserver,
+    ) -> Result<EpochOutcome, JournalError> {
+        if let Some(j) = journal.as_deref_mut() {
             for event in batch {
-                self.record_event(ctrl.topo(), event)?;
-            }
-            if crash_now {
-                return Ok(DriveReport {
-                    outcomes,
-                    crashed: true,
-                });
-            }
-            ctrl.bump_flaps_damped(batch.len() as u64 - 1);
-            let owned: Vec<CtrlEvent> = batch.iter().map(|&e| e.clone()).collect();
-            let outcome = ctrl.handle_batch_via(&owned, southbound, policy)?;
-            self.record_outcome(&outcome, batch.len())?;
-            if let EpochOutcome::Committed(report) = &outcome {
-                let topo = ctrl.topo().clone();
-                observer.on_commit(&topo, ctrl.committed(), report);
-            }
-            outcomes.push(outcome);
-            if checkpoint_every > 0 && (outcomes.len() as u64).is_multiple_of(checkpoint_every) {
-                self.checkpoint(ctrl)?;
+                j.record_event(self.topo(), event)?;
             }
         }
-        Ok(DriveReport {
-            outcomes,
-            crashed: false,
-        })
+        let outcome = self.handle_batch_via(batch, southbound, policy)?;
+        // A k-event batch absorbed k-1 recomputes.
+        self.bump_flaps_damped(batch.len() as u64 - 1);
+        if let Some(j) = journal.as_deref_mut() {
+            j.record_outcome(&outcome, batch.len())?;
+        }
+        if let EpochOutcome::Committed(report) = &outcome {
+            observer.on_commit(self.topo(), self.committed(), report);
+        }
+        if let Some(j) = journal {
+            if checkpoint_every > 0 && j.outcomes.is_multiple_of(checkpoint_every) {
+                j.checkpoint(self)?;
+            }
+        }
+        Ok(outcome)
     }
+}
+
+/// The flap-damped replay loop behind [`Journal::drive`] and
+/// [`Controller::replay_damped_via`]: splits `events` with
+/// [`Damping::Flap`] and applies each batch through
+/// [`Controller::apply_batch`].
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn drive(
+    ctrl: &mut Controller,
+    mut journal: Option<&mut Journal>,
+    events: &[CtrlEvent],
+    southbound: &mut dyn Southbound,
+    policy: &InstallPolicy,
+    checkpoint_every: u64,
+    crash_after: Option<u64>,
+    observer: &mut dyn CommitObserver,
+) -> Result<DriveReport, JournalError> {
+    let mut outcomes = Vec::new();
+    for range in Damping::Flap.split(events) {
+        let batch = &events[range];
+        if crash_after.is_some_and(|n| outcomes.len() as u64 >= n) {
+            // The simulated crash lands between the write-ahead and the
+            // rollout.
+            if let Some(j) = journal {
+                for event in batch {
+                    j.record_event(ctrl.topo(), event)?;
+                }
+            }
+            return Ok(DriveReport {
+                outcomes,
+                crashed: true,
+            });
+        }
+        outcomes.push(ctrl.apply_batch(
+            batch,
+            journal.as_deref_mut(),
+            checkpoint_every,
+            southbound,
+            policy,
+            observer,
+        )?);
+    }
+    Ok(DriveReport {
+        outcomes,
+        crashed: false,
+    })
 }
 
 /// What [`Journal::drive`] got through.
@@ -457,6 +518,7 @@ mod tests {
                 &InstallPolicy::default(),
                 2,
                 None,
+                &mut crate::NoopObserver,
             )
             .unwrap();
         assert!(!report.crashed);
@@ -479,6 +541,59 @@ mod tests {
     }
 
     #[test]
+    fn apply_batch_pins_the_write_ahead_order() {
+        let path = tmp("order");
+        let mut live = controller();
+        let mut sb = ReliableSouthbound::new();
+        sb.bootstrap(&live.committed().rules);
+        let trace = "down L1 T1\nflap L2 T2 1\nwatchdog L1 0 2\nresync";
+        let events = parse_trace(live.topo(), trace).unwrap();
+        let mut journal = Journal::create(&path).unwrap();
+        let report = journal
+            .drive(
+                &mut live,
+                &events,
+                &mut sb,
+                &InstallPolicy::default(),
+                2,
+                None,
+                &mut crate::NoopObserver,
+            )
+            .unwrap();
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            "# tagger-ctrl journal v1\n\
+             event down T1 L1\n!ok 1\n\
+             event down T2 L2\nevent up T2 L2\n!ok 2\n\
+             !checkpoint epoch=2 version=3\n!state down T1 L1\n!checkpoint-end\n\
+             event watchdog L1 0 2\n!ok 1\n\
+             event resync\n!ok 1\n\
+             !checkpoint epoch=4 version=5\n!state down T1 L1\n\
+             !state watchdog L1 0 2\n!checkpoint-end\n"
+        );
+        assert_eq!(live.metrics().flaps_damped, 1);
+        assert_eq!(live.metrics().checkpoints, 2);
+
+        // The same step without a journal decides the same epochs.
+        let mut bare = controller();
+        let mut sb = ReliableSouthbound::new();
+        sb.bootstrap(&bare.committed().rules);
+        let outcomes = bare
+            .replay_damped_via(
+                &events,
+                &mut sb,
+                &InstallPolicy::default(),
+                &mut crate::NoopObserver,
+            )
+            .unwrap();
+        assert_eq!(outcomes.len(), report.outcomes.len());
+        assert_eq!(bare.committed().rules, live.committed().rules);
+        assert_eq!(bare.metrics().flaps_damped, 1);
+        assert_eq!(bare.metrics().checkpoints, 0);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn mid_epoch_crash_recovers_and_reconciles() {
         let path = tmp("crash");
         let mut live = controller();
@@ -495,6 +610,7 @@ mod tests {
                 &InstallPolicy::default(),
                 1,
                 Some(2),
+                &mut crate::NoopObserver,
             )
             .unwrap();
         assert!(report.crashed);
@@ -522,7 +638,12 @@ mod tests {
         recovered.reconcile(&mut sb);
         assert_eq!(sb.fleet(), &recovered.committed().rules);
         let outcomes = recovered
-            .replay_damped_via(rec.tail.iter(), &mut sb, &InstallPolicy::default())
+            .replay_damped_via(
+                &rec.tail,
+                &mut sb,
+                &InstallPolicy::default(),
+                &mut crate::NoopObserver,
+            )
             .unwrap();
         assert!(!outcomes.is_empty());
         assert_eq!(sb.fleet(), &recovered.committed().rules);
@@ -545,6 +666,7 @@ mod tests {
                 &InstallPolicy::default(),
                 0,
                 None,
+                &mut crate::NoopObserver,
             )
             .unwrap();
 
@@ -574,6 +696,7 @@ mod tests {
                 &InstallPolicy::default(),
                 1,
                 None,
+                &mut crate::NoopObserver,
             )
             .unwrap();
         assert_eq!(live.state().quarantines.len(), 1);

@@ -31,16 +31,22 @@
 //!   backoff under an [`InstallPolicy`] and enforce a commit barrier:
 //!   an epoch lands everywhere or is rolled back everywhere — the fleet
 //!   is never left running a mix of epochs.
-//! - [`DampingPolicy`] — pluggable event batching ([`NoDamping`],
-//!   [`FlapDamping`], [`CappedFlapDamping`]): how a stream of events is
-//!   split into recompute batches. Policies are suffix-closed, so a
-//!   bounded ingest queue can drain a few batches per cycle without
-//!   changing how the remainder will batch — what lets `tagger-fleetd`
-//!   damp each fabric independently, never across fabrics.
+//! - [`Damping`] — event batching (`None`, `Flap`, `FlapCapped(n)`):
+//!   how a stream of events is split into recompute batches. Every
+//!   variant is suffix-closed, so a bounded ingest queue can drain a few
+//!   batches per cycle without changing how the remainder will batch —
+//!   what lets `tagger-fleetd` damp each fabric independently, never
+//!   across fabrics.
 //! - [`Journal`] — a write-ahead event journal with snapshot
 //!   checkpoints; [`recover`] rebuilds a crashed controller to
 //!   byte-identical committed tables and [`Controller::reconcile`]
 //!   repairs whatever a mid-epoch crash left on the switches.
+//! - [`Controller::apply_batch`] — the write-ahead batch step, the one
+//!   place an epoch is applied: journal the events, run the two-phase
+//!   rollout, journal the outcome, notify the [`CommitObserver`],
+//!   checkpoint on cadence. [`Journal::drive`], the un-journaled
+//!   [`Controller::replay_damped_via`] and `tagger-fleet`'s ingest
+//!   drain all go through it.
 //!
 //! The invariant the controller maintains is the one that matters for
 //! PFC safety: **every committed snapshot is a verified tagged graph**
@@ -66,14 +72,13 @@ mod state;
 
 pub use chaos::{ChaosConfig, ChaosSouthbound};
 pub use controller::{
-    coalesce_flaps, CommitReport, Controller, CtrlError, EpochOutcome, InstallPolicy,
-    RollbackReason, Snapshot,
+    CommitReport, Controller, CtrlError, EpochOutcome, InstallPolicy, RollbackReason, Snapshot,
 };
-pub use damping::{parse_damping, CappedFlapDamping, DampingPolicy, FlapDamping, NoDamping};
+pub use damping::Damping;
 pub use event::{parse_trace, CtrlEvent, TraceError, TraceErrorKind, TriggerInfo};
 pub use journal::{recover, DriveReport, Journal, JournalError, Recovery};
 pub use metrics::ControllerMetrics;
-pub use observer::{CommitObserver, FnObserver, NoopObserver, Tee};
+pub use observer::{CommitObserver, NoopObserver};
 pub use southbound::{ReliableSouthbound, Southbound};
 pub use state::{ElpPolicy, NetworkState};
 

@@ -25,40 +25,12 @@ pub trait CommitObserver {
     fn on_commit(&mut self, topo: &Topology, snapshot: &Snapshot, report: &CommitReport);
 }
 
-/// The do-nothing observer the unobserved entry points use.
+/// The do-nothing observer, for replays nobody watches.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct NoopObserver;
 
 impl CommitObserver for NoopObserver {
     fn on_commit(&mut self, _topo: &Topology, _snapshot: &Snapshot, _report: &CommitReport) {}
-}
-
-/// Adapts a closure into a [`CommitObserver`], so callers that only
-/// want to siphon commit data (a fleet supervisor recording per-epoch
-/// latencies, a test collecting epochs) don't need a named type.
-pub struct FnObserver<F: FnMut(&Topology, &Snapshot, &CommitReport)>(pub F);
-
-impl<F: FnMut(&Topology, &Snapshot, &CommitReport)> CommitObserver for FnObserver<F> {
-    fn on_commit(&mut self, topo: &Topology, snapshot: &Snapshot, report: &CommitReport) {
-        (self.0)(topo, snapshot, report)
-    }
-}
-
-/// Fans one commit out to two observers in order — how a daemon chains
-/// an audit bridge with its own bookkeeping without either knowing
-/// about the other.
-pub struct Tee<'a>(
-    /// Observed first.
-    pub &'a mut dyn CommitObserver,
-    /// Observed second.
-    pub &'a mut dyn CommitObserver,
-);
-
-impl CommitObserver for Tee<'_> {
-    fn on_commit(&mut self, topo: &Topology, snapshot: &Snapshot, report: &CommitReport) {
-        self.0.on_commit(topo, snapshot, report);
-        self.1.on_commit(topo, snapshot, report);
-    }
 }
 
 #[cfg(test)]
@@ -105,8 +77,8 @@ mod tests {
             exports: Vec::new(),
         };
         let outcomes = ctrl
-            .replay_damped_via_observed(
-                events.iter(),
+            .replay_damped_via(
+                &events,
                 &mut southbound,
                 &InstallPolicy::default(),
                 &mut rec,

@@ -14,7 +14,7 @@
 use proptest::prelude::*;
 use tagger_ctrl::{
     recover, ChaosConfig, ChaosSouthbound, Controller, CtrlEvent, ElpPolicy, EpochOutcome,
-    InstallPolicy, Journal, Southbound,
+    InstallPolicy, Journal, NoopObserver, Southbound,
 };
 use tagger_topo::{ClosConfig, LinkId, Topology};
 
@@ -75,7 +75,7 @@ proptest! {
         let path = journal_path("chaos", seed);
         let mut journal = Journal::create(&path).expect("temp journal");
         let report = journal
-            .drive(&mut ctrl, &events, &mut sb, &install, 2, Some(crash_at as u64))
+            .drive(&mut ctrl, &events, &mut sb, &install, 2, Some(crash_at as u64), &mut NoopObserver)
             .expect("in-range links never hard-error");
 
         // Invariant 1, checked at the crash point (drive itself asserts
@@ -117,7 +117,7 @@ proptest! {
         // cleanly on the recovered controller.
         if report.crashed {
             recovered
-                .replay_damped_via(recovery.tail.iter(), &mut sb, &install)
+                .replay_damped_via(&recovery.tail, &mut sb, &install, &mut NoopObserver)
                 .expect("tail events stay well-formed");
             prop_assert_eq!(sb.fleet(), &recovered.committed().rules);
             prop_assert!(recovered.committed().graph.verify().is_ok());

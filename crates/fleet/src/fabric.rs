@@ -14,8 +14,8 @@ use std::path::{Path, PathBuf};
 use tagger_audit::{AuditMetrics, Auditor};
 use tagger_ctrl::{
     recover, ChaosConfig, ChaosSouthbound, CommitObserver, CommitReport, Controller, CtrlEvent,
-    DampingPolicy, ElpPolicy, EpochOutcome, FlapDamping, InstallPolicy, Journal, NoDamping,
-    ReliableSouthbound, Snapshot, Southbound,
+    Damping, ElpPolicy, EpochOutcome, InstallPolicy, Journal, JournalError, ReliableSouthbound,
+    Snapshot, Southbound,
 };
 use tagger_topo::Topology;
 
@@ -28,46 +28,6 @@ impl FabricId {
     /// The id as a usize index.
     pub fn index(self) -> usize {
         self.0 as usize
-    }
-}
-
-/// Which damping policy a fabric batches its ingest queue with.
-///
-/// A plain enum (rather than a boxed trait object in the spec) keeps
-/// `FabricSpec` clonable and comparable; the fabric materializes the
-/// actual [`DampingPolicy`] at registration.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Damping {
-    /// Every event stages its own epoch.
-    None,
-    /// Maximal same-link runs collapse into one recompute (the default).
-    Flap,
-    /// Flap damping with a per-batch event ceiling.
-    FlapCapped(usize),
-}
-
-impl Damping {
-    /// Parses the CLI syntax: `none`, `flap`, or `flap:N` (cap N ≥ 1).
-    pub fn parse(spec: &str) -> Result<Self, String> {
-        match spec {
-            "none" => Ok(Damping::None),
-            "flap" => Ok(Damping::Flap),
-            _ => match spec.strip_prefix("flap:").map(str::parse) {
-                Some(Ok(n)) if n >= 1 => Ok(Damping::FlapCapped(n)),
-                _ => Err(format!(
-                    "damping {spec:?} is not none | flap | flap:N (N >= 1)"
-                )),
-            },
-        }
-    }
-
-    /// Materializes the policy.
-    pub fn policy(self) -> Box<dyn DampingPolicy> {
-        match self {
-            Damping::None => Box::new(NoDamping),
-            Damping::Flap => Box::new(FlapDamping),
-            Damping::FlapCapped(n) => Box::new(tagger_ctrl::CappedFlapDamping::new(n)),
-        }
     }
 }
 
@@ -181,17 +141,14 @@ pub struct Fabric {
     journal: Journal,
     journal_path: PathBuf,
     audit: AuditBridge,
-    damping: Box<dyn DampingPolicy>,
     install: InstallPolicy,
     queue: VecDeque<CtrlEvent>,
     queue_cap: usize,
-    // Counters. `outcomes` drives the checkpoint cadence.
     ingested: u64,
     queue_rejections: u64,
     batches: u64,
     commits: u64,
     rollbacks: u64,
-    outcomes: u64,
     epoch_latencies_us: Vec<u64>,
 }
 
@@ -222,7 +179,6 @@ impl Fabric {
         if !report.is_certified() {
             audit.violations += 1;
         }
-        let damping = spec.damping.policy();
         Ok(Fabric {
             id,
             spec,
@@ -231,7 +187,6 @@ impl Fabric {
             journal,
             journal_path,
             audit,
-            damping,
             install,
             queue: VecDeque::new(),
             queue_cap,
@@ -240,7 +195,6 @@ impl Fabric {
             batches: 0,
             commits: 0,
             rollbacks: 0,
-            outcomes: 0,
             epoch_latencies_us: Vec::new(),
         })
     }
@@ -412,57 +366,39 @@ impl Fabric {
             return Ok(outcomes);
         }
         let events = self.queue.make_contiguous();
-        let ranges = self.damping.split(events);
+        let ranges = self.spec.damping.split(events);
         let settled = if hold_last {
             ranges.len().saturating_sub(1)
         } else {
             ranges.len()
         };
         let take = settled.min(max_batches);
-        let mut consumed = 0;
-        let mut batches: Vec<Vec<CtrlEvent>> = Vec::with_capacity(take);
-        for range in &ranges[..take] {
-            batches.push(events[range.clone()].to_vec());
-            consumed = range.end;
-        }
-        self.queue.drain(..consumed);
+        let consumed = ranges[..take].last().map_or(0, |r| r.end);
+        let drained: Vec<CtrlEvent> = self.queue.drain(..consumed).collect();
 
-        for batch in batches {
-            for event in &batch {
-                self.journal
-                    .record_event(self.ctrl.topo(), event)
-                    .map_err(FleetError::Journal)?;
-            }
+        for range in &ranges[..take] {
             let outcome = self
                 .ctrl
-                .handle_batch_via(&batch, self.southbound.as_dyn(), &self.install)
-                .map_err(FleetError::Ctrl)?;
-            // The fabric ran the damping itself, so it keeps the
-            // controller's damping metric truthful: a k-event damped
-            // batch absorbed k-1 recomputes.
-            self.ctrl.bump_flaps_damped(batch.len() as u64 - 1);
-            self.journal
-                .record_outcome(&outcome, batch.len())
-                .map_err(FleetError::Journal)?;
+                .apply_batch(
+                    &drained[range.clone()],
+                    Some(&mut self.journal),
+                    self.spec.checkpoint_every,
+                    self.southbound.as_dyn(),
+                    &self.install,
+                    &mut self.audit,
+                )
+                .map_err(|e| match e {
+                    JournalError::Ctrl(e) => FleetError::Ctrl(e),
+                    e => FleetError::Journal(e),
+                })?;
             self.batches += 1;
-            self.outcomes += 1;
             match &outcome {
                 EpochOutcome::Committed(report) => {
                     self.commits += 1;
                     self.epoch_latencies_us
                         .push(report.recompute.as_micros() as u64);
-                    let topo = self.ctrl.topo().clone();
-                    let observer: &mut dyn CommitObserver = &mut self.audit;
-                    observer.on_commit(&topo, self.ctrl.committed(), report);
                 }
                 EpochOutcome::RolledBack { .. } => self.rollbacks += 1,
-            }
-            if self.spec.checkpoint_every > 0
-                && self.outcomes.is_multiple_of(self.spec.checkpoint_every)
-            {
-                self.journal
-                    .checkpoint(&mut self.ctrl)
-                    .map_err(FleetError::Journal)?;
             }
             outcomes.push(outcome);
         }

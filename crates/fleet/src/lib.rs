@@ -11,13 +11,15 @@
 //!
 //! - [`Fabric`] — one fabric's controller, write-ahead journal, chaos
 //!   (or reliable) southbound, and independent audit loop, behind a
-//!   bounded ingest queue with a per-fabric [`DampingPolicy`]. Nothing
-//!   is shared between fabrics.
+//!   bounded ingest queue with a per-fabric [`Damping`]. Every drained
+//!   batch goes through the controller's one write-ahead step,
+//!   [`Controller::apply_batch`](tagger_ctrl::Controller::apply_batch).
+//!   Nothing is shared between fabrics.
 //! - [`Fleet`] — the registry and fair drain loop. Registration derives
 //!   an isolated journal path per fabric and refuses duplicates even
 //!   across path respellings; draining visits every fabric per cycle
 //!   with a bounded batch quantum, so one flapping fabric cannot starve
-//!   the rest. Because damping policies are suffix-closed, the bounded
+//!   the rest. Because every damping variant is suffix-closed, the bounded
 //!   interleaved drain commits *exactly* the epochs a solo replay would.
 //! - [`FleetReport`] — per-fabric status plus `Sum`-based rollups of
 //!   [`ControllerMetrics`](tagger_ctrl::ControllerMetrics) and
@@ -33,8 +35,6 @@
 //!   retry client, and a seeded chaos transport proxy — events arrive
 //!   exactly once, and networked journals are byte-identical to a solo
 //!   replay.
-//!
-//! [`DampingPolicy`]: tagger_ctrl::DampingPolicy
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -48,9 +48,11 @@ mod report;
 mod soak;
 
 pub use error::FleetError;
-pub use fabric::{Damping, Fabric, FabricId, FabricSpec};
+pub use fabric::{Fabric, FabricId, FabricSpec};
 pub use registry::{Fleet, FleetConfig};
 pub use report::{percentile_us, FabricStatus, FleetReport};
 pub use soak::{
-    run_soak, soak_schedule, FabricReadiness, ReadinessReport, SoakConfig, SoakOutcome,
+    fabric_seed, run_soak, schedule_lines, soak_schedule, FabricReadiness, ReadinessReport,
+    SoakConfig, SoakOutcome,
 };
+pub use tagger_ctrl::Damping;

@@ -34,9 +34,10 @@
 //! accepted is ever dropped.
 
 use crate::error::FleetError;
-use crate::fabric::{Damping, FabricSpec};
+use crate::fabric::FabricSpec;
 use crate::registry::{Fleet, FleetConfig};
 use crate::report::FleetReport;
+use tagger_ctrl::Damping;
 
 use super::wire::{Decoder, Msg};
 

@@ -23,13 +23,13 @@
 //! a seed — CI pins one and diffs.
 
 use crate::error::FleetError;
-use crate::fabric::{Damping, FabricSpec};
+use crate::fabric::FabricSpec;
 use crate::registry::{Fleet, FleetConfig};
 use crate::report::FleetReport;
 use rand::{rngs::StdRng, RngExt, SeedableRng};
 use std::fmt::Write as _;
 use std::path::PathBuf;
-use tagger_ctrl::{ChaosConfig, CtrlEvent};
+use tagger_ctrl::{ChaosConfig, CtrlEvent, Damping};
 use tagger_topo::{ClosConfig, Topology};
 
 /// Soak drill parameters.
@@ -185,7 +185,9 @@ pub struct SoakOutcome {
 
 /// Derives fabric `i`'s private seed from the master seed
 /// (SplitMix64-style, so neighbouring fabrics get unrelated streams).
-fn fabric_seed(master: u64, i: u64) -> u64 {
+/// The soak drill, the network ingest drill and its bench all derive
+/// per-fabric schedule and client seeds with it.
+pub fn fabric_seed(master: u64, i: u64) -> u64 {
     let mut z = master.wrapping_add(i.wrapping_add(1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -207,6 +209,31 @@ pub fn soak_schedule(topo: &Topology, seed: u64, events: usize) -> Vec<CtrlEvent
     tagger_scenario::schedule::events(baseline, topo, seed, events)
 }
 
+/// Fabric `mix_index`'s seeded schedule: `events` events of the
+/// scenario library's mix number `mix_index` (cycling through the
+/// library), healing tail included.
+fn mix_events(topo: &Topology, seed: u64, mix_index: usize, events: usize) -> Vec<CtrlEvent> {
+    let mixes = tagger_scenario::schedule::library();
+    tagger_scenario::schedule::events(&mixes[mix_index % mixes.len()], topo, seed, events)
+}
+
+/// One fabric's seeded schedule — mix number `mix_index` of the
+/// scenario library, as [`run_soak`] draws it — rendered as
+/// `<fabric>: <trace-line>` wire lines, the stream format
+/// `tagger-fleetd ingest` and the network ingest front read.
+pub fn schedule_lines(
+    topo: &Topology,
+    name: &str,
+    seed: u64,
+    mix_index: usize,
+    events: usize,
+) -> Vec<String> {
+    mix_events(topo, seed, mix_index, events)
+        .iter()
+        .map(|e| format!("{name}: {}", e.trace_line(topo)))
+        .collect()
+}
+
 /// Runs the drill: registers `cfg.fabrics` fabrics (each with a derived
 /// seed for both its event schedule and its chaos southbound),
 /// interleaves all schedules through the bounded fair ingest front —
@@ -225,7 +252,6 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakOutcome, FleetError> {
     // Event mixes cycle through the scenario library, so one drill
     // exercises every shipped storm profile (baseline, flap-storm,
     // partition-prone, watchdog-churn) across the fleet.
-    let mixes = tagger_scenario::schedule::library();
     let mut schedules: Vec<(String, Vec<CtrlEvent>)> = Vec::with_capacity(cfg.fabrics);
     for i in 0..cfg.fabrics {
         let seed = fabric_seed(cfg.seed, i as u64);
@@ -234,11 +260,7 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakOutcome, FleetError> {
             .with_chaos(ChaosConfig::new(seed, cfg.fail_rate))
             .with_damping(dampings[i % dampings.len()]);
         fleet.register(spec)?;
-        let mix = &mixes[i % mixes.len()];
-        schedules.push((
-            name,
-            tagger_scenario::schedule::events(mix, &topo, seed, cfg.events_per_fabric),
-        ));
+        schedules.push((name, mix_events(&topo, seed, i, cfg.events_per_fabric)));
     }
 
     // Interleave: each round feeds every fabric a small seeded slice of

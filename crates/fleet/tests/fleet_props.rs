@@ -147,7 +147,7 @@ fn flapping_fabric_cannot_starve_quiet_fabrics() {
     cfg.drain_quantum = 2;
     let mut fleet = Fleet::new(cfg);
 
-    // The noisy fabric uses NoDamping, so every queued event is its own
+    // The noisy fabric uses `Damping::None`, so every queued event is its own
     // batch — the worst case for everyone else.
     fleet
         .register(FabricSpec::new("noisy", topo.clone()).with_damping(Damping::None))

@@ -8,11 +8,11 @@
 
 use std::path::PathBuf;
 use std::time::Duration;
-use tagger_ctrl::{ChaosConfig, CtrlEvent};
+use tagger_ctrl::ChaosConfig;
 use tagger_fleet::net::{
     chaos_for, send_lines, ChaosTransport, ClientConfig, NetChaosConfig, ServeConfig, Server,
 };
-use tagger_fleet::{Damping, FabricSpec, Fleet, FleetConfig};
+use tagger_fleet::{fabric_seed, schedule_lines, Damping, FabricSpec, Fleet, FleetConfig};
 use tagger_topo::{ClosConfig, Topology};
 
 const SOAK_SEED: u64 = 0xC0FFEE;
@@ -21,26 +21,6 @@ const EVENTS_PER_FABRIC: usize = 24;
 
 fn tmp(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("tagger-netsoak-{}-{name}", std::process::id()))
-}
-
-/// SplitMix64 — the same per-fabric seed derivation idiom the in-process
-/// soak uses, reproduced here so the test pins its own streams.
-fn fabric_seed(master: u64, i: u64) -> u64 {
-    let mut z = master.wrapping_add(i.wrapping_add(1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// One fabric's schedule as `<fabric>: <trace-line>` wire lines, drawn
-/// from the scenario mix library exactly like the in-process soak.
-fn fabric_lines(topo: &Topology, name: &str, seed: u64, mix_index: usize) -> Vec<String> {
-    let mixes = tagger_scenario::schedule::library();
-    let mix = &mixes[mix_index % mixes.len()];
-    tagger_scenario::schedule::events(mix, topo, seed, EVENTS_PER_FABRIC)
-        .iter()
-        .map(|e: &CtrlEvent| format!("{name}: {}", e.trace_line(topo)))
-        .collect()
 }
 
 /// Replays every fabric's lines through an in-process fleet configured
@@ -81,11 +61,12 @@ fn chaos_proxy_loopback_soak_matches_solo_replay() {
     let base_chaos = ChaosConfig::new(SOAK_SEED, 0.25);
     let lines: Vec<Vec<String>> = (0..FABRICS)
         .map(|i| {
-            fabric_lines(
+            schedule_lines(
                 &topo,
                 &format!("net-{i}"),
                 fabric_seed(SOAK_SEED, i as u64),
                 i,
+                EVENTS_PER_FABRIC,
             )
         })
         .collect();

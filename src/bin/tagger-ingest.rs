@@ -35,11 +35,11 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Duration;
 
-use tagger::ctrl::{ChaosConfig, CtrlEvent};
+use tagger::ctrl::ChaosConfig;
 use tagger::fleet::net::{
     chaos_for, send_lines, ChaosTransport, ClientConfig, NetChaosConfig, ServeConfig, Server,
 };
-use tagger::fleet::{Damping, FabricSpec, Fleet, FleetConfig};
+use tagger::fleet::{fabric_seed, schedule_lines, Damping, FabricSpec, Fleet, FleetConfig};
 use tagger::topo::{ClosConfig, Topology};
 
 const USAGE: &str = "usage: tagger-ingest <send|drill> [options]
@@ -131,15 +131,6 @@ fn run_send(stream: Option<String>, flags: &BTreeMap<String, String>) -> Result<
     })
 }
 
-/// SplitMix64 — the same per-fabric seed derivation the in-process soak
-/// and the loopback soak test use, so the drill pins identical streams.
-fn fabric_seed(master: u64, i: u64) -> u64 {
-    let mut z = master.wrapping_add(i.wrapping_add(1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// FNV-1a over a byte slice — the journal fingerprint the drill prints.
 fn fnv64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xCBF2_9CE4_8422_2325;
@@ -148,23 +139,6 @@ fn fnv64(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01B3);
     }
     h
-}
-
-/// One fabric's schedule as `<fabric>: <trace-line>` wire lines, drawn
-/// from the scenario mix library exactly like the fleet soak.
-fn fabric_lines(
-    topo: &Topology,
-    name: &str,
-    seed: u64,
-    mix_index: usize,
-    events: usize,
-) -> Vec<String> {
-    let mixes = tagger::scenario::schedule::library();
-    let mix = &mixes[mix_index % mixes.len()];
-    tagger::scenario::schedule::events(mix, topo, seed, events)
-        .iter()
-        .map(|e: &CtrlEvent| format!("{name}: {}", e.trace_line(topo)))
-        .collect()
 }
 
 /// Replays every fabric's lines through a solo in-process fleet
@@ -222,7 +196,7 @@ fn run_drill(flags: &BTreeMap<String, String>) -> Result<ExitCode, String> {
     let base_chaos = ChaosConfig::new(seed, 0.25);
     let lines: Vec<Vec<String>> = (0..fabrics)
         .map(|i| {
-            fabric_lines(
+            schedule_lines(
                 &topo,
                 &format!("net-{i}"),
                 fabric_seed(seed, i as u64),

@@ -35,7 +35,7 @@ use tagger::core::tcam::{Compression, TcamProgram};
 use tagger::core::{decide, dscp::DscpCodec, Elp, Tagging, Verdict};
 use tagger::topo::{fat_tree, ClosConfig, JellyfishConfig, Topology};
 
-fn parse_flags(args: &[String]) -> (BTreeMap<String, String>, bool) {
+fn parse_flags(args: &[String]) -> Result<(BTreeMap<String, String>, bool), String> {
     let mut flags = BTreeMap::new();
     let mut dump_rules = false;
     let mut i = 0;
@@ -45,27 +45,25 @@ fn parse_flags(args: &[String]) -> (BTreeMap<String, String>, bool) {
             dump_rules = true;
             i += 1;
         } else if let Some(name) = a.strip_prefix("--") {
-            if i + 1 < args.len() {
-                flags.insert(name.to_string(), args[i + 1].clone());
-                i += 2;
-            } else {
-                i += 1;
-            }
+            let value = args
+                .get(i + 1)
+                .ok_or_else(|| format!("--{name} wants a value"))?;
+            flags.insert(name.to_string(), value.clone());
+            i += 2;
         } else {
             i += 1;
         }
     }
-    (flags, dump_rules)
+    Ok((flags, dump_rules))
 }
 
-fn get(flags: &BTreeMap<String, String>, key: &str, default: usize) -> usize {
-    flags
-        .get(key)
-        .map(|v| {
-            v.parse()
-                .unwrap_or_else(|_| panic!("--{key} wants a number"))
-        })
-        .unwrap_or(default)
+fn get(flags: &BTreeMap<String, String>, key: &str, default: usize) -> Result<usize, String> {
+    match flags.get(key) {
+        None => Ok(default),
+        Some(v) => v
+            .parse()
+            .map_err(|_| format!("--{key} wants a number, got {v:?}")),
+    }
 }
 
 fn report(topo: &Topology, tagging: &Tagging, oracle_line: &str, dump_rules: bool) {
@@ -187,24 +185,38 @@ fn plan(
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    match run(&args) {
+        Ok(code) => code,
+        Err(e) => {
+            eprintln!("{e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+fn run(args: &[String]) -> Result<ExitCode, String> {
     let Some(cmd) = args.first() else {
-        eprintln!(
+        return Err(
             "usage: tagger-plan <clos|fattree|jellyfish|custom> [flags]; see --help in source"
+                .into(),
         );
-        return ExitCode::FAILURE;
     };
-    let (flags, dump_rules) = parse_flags(&args[1..]);
-    match cmd.as_str() {
+    let (flags, dump_rules) = parse_flags(&args[1..])?;
+    Ok(match cmd.as_str() {
         "clos" => {
             let cfg = ClosConfig {
-                pods: get(&flags, "pods", 2),
-                leaves_per_pod: get(&flags, "leaves", 2),
-                tors_per_pod: get(&flags, "tors", 2),
-                spines: get(&flags, "spines", 2),
-                hosts_per_tor: get(&flags, "hosts", 4),
+                pods: get(&flags, "pods", 2)?,
+                leaves_per_pod: get(&flags, "leaves", 2)?,
+                tors_per_pod: get(&flags, "tors", 2)?,
+                spines: get(&flags, "spines", 2)?,
+                hosts_per_tor: get(&flags, "hosts", 4)?,
             };
+            let dims = [cfg.pods, cfg.leaves_per_pod, cfg.tors_per_pod, cfg.spines];
+            if dims.contains(&0) || cfg.hosts_per_tor == 0 {
+                return Err("every Clos dimension must be at least 1".into());
+            }
             let topo = cfg.build();
-            let k = get(&flags, "bounces", 1);
+            let k = get(&flags, "bounces", 1)?;
             println!("plan: clos {cfg:?}, {k}-bounce lossless service\n");
             let elp = Elp::updown_with_bounces(&topo, k);
             plan(
@@ -216,12 +228,13 @@ fn main() -> ExitCode {
             )
         }
         "fattree" => {
-            let topo = fat_tree(get(&flags, "k", 4));
-            let k = get(&flags, "bounces", 1);
-            println!(
-                "plan: fat-tree k={}, {k}-bounce lossless service\n",
-                get(&flags, "k", 4)
-            );
+            let k_ary = get(&flags, "k", 4)?;
+            if k_ary < 2 || !k_ary.is_multiple_of(2) {
+                return Err(format!("--k wants an even number >= 2, got {k_ary}"));
+            }
+            let topo = fat_tree(k_ary);
+            let k = get(&flags, "bounces", 1)?;
+            println!("plan: fat-tree k={k_ary}, {k}-bounce lossless service\n");
             let elp = Elp::updown_with_bounces(&topo, k);
             plan(
                 &topo,
@@ -233,16 +246,26 @@ fn main() -> ExitCode {
         }
         "jellyfish" => {
             let cfg = JellyfishConfig::half_servers(
-                get(&flags, "switches", 50),
-                get(&flags, "ports", 12),
-                get(&flags, "seed", 7) as u64,
+                get(&flags, "switches", 50)?,
+                get(&flags, "ports", 12)?,
+                get(&flags, "seed", 7)? as u64,
             );
+            if cfg.network_degree < 2
+                || cfg.network_degree >= cfg.ports_per_switch
+                || cfg.switches <= cfg.network_degree
+            {
+                return Err(format!(
+                    "jellyfish needs 2 <= network degree ({}) < ports ({}) and more \
+                     switches ({}) than the degree",
+                    cfg.network_degree, cfg.ports_per_switch, cfg.switches
+                ));
+            }
             let topo = cfg.build();
             println!(
                 "plan: jellyfish {} switches x {} ports (seed {}), shortest-path ELP\n",
                 cfg.switches, cfg.ports_per_switch, cfg.seed
             );
-            let elp = Elp::shortest(&topo, get(&flags, "paths-per-pair", 1), false);
+            let elp = Elp::shortest(&topo, get(&flags, "paths-per-pair", 1)?, false);
             plan(
                 &topo,
                 &elp,
@@ -252,24 +275,10 @@ fn main() -> ExitCode {
             )
         }
         "custom" => {
-            let Some(path) = flags.get("file") else {
-                eprintln!("custom needs --file <spec>");
-                return ExitCode::FAILURE;
-            };
-            let text = match std::fs::read_to_string(path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("cannot read {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let spec = match Topology::parse_spec(&text) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("{path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
+            let path = flags.get("file").ok_or("custom needs --file <spec>")?;
+            let text =
+                std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+            let spec = Topology::parse_spec(&text).map_err(|e| format!("{path}: {e}"))?;
             let topo = spec.topo;
             // A `priorities N` directive in the spec caps the budget the
             // oracle checks against; otherwise the hardware ceiling.
@@ -278,7 +287,7 @@ fn main() -> ExitCode {
                 .switch_ids()
                 .all(|s| topo.node(s).layer.rank().is_some());
             if layered {
-                let k = get(&flags, "bounces", 1);
+                let k = get(&flags, "bounces", 1)?;
                 println!("plan: custom layered fabric from {path}, {k}-bounce service\n");
                 let elp = Elp::updown_with_bounces(&topo, k);
                 plan(
@@ -290,7 +299,7 @@ fn main() -> ExitCode {
                 )
             } else {
                 println!("plan: custom fabric from {path}, host-to-host shortest-path ELP\n");
-                let elp = Elp::shortest(&topo, get(&flags, "paths-per-pair", 1), true);
+                let elp = Elp::shortest(&topo, get(&flags, "paths-per-pair", 1)?, true);
                 plan(
                     &topo,
                     &elp,
@@ -301,8 +310,9 @@ fn main() -> ExitCode {
             }
         }
         other => {
-            eprintln!("unknown fabric {other:?}; expected clos, fattree, jellyfish or custom");
-            ExitCode::FAILURE
+            return Err(format!(
+                "unknown fabric {other:?}; expected clos, fattree, jellyfish or custom"
+            ))
         }
-    }
+    })
 }

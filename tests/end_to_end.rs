@@ -140,17 +140,25 @@ fn routing_and_core_agree_on_updown() {
     assert_eq!(merged.num_lossless_tags(&topo), 1);
 }
 
-/// The complete safety-net loop across every layer: the audit finds the
-/// cycle in the corrupted checkpoint, the simulator shows it deadlock
-/// and the armed watchdog rescue it, the trips become controller
+/// The complete safety-net loop across every layer, under both watchdog
+/// policies: the audit finds the cycle in the corrupted checkpoint, the
+/// simulator shows it deadlock and the armed watchdog rescue it with a
+/// verified initial-trigger attribution, the trips become controller
 /// quarantine events that journal through a crash, and the corrective
 /// commit re-certifies deadlock-free.
 #[test]
 fn watchdog_safety_net_closes_the_loop() {
+    use tagger::switch::WatchdogPolicy;
+    for policy in [WatchdogPolicy::Demote, WatchdogPolicy::Drop] {
+        watchdog_loop(policy);
+    }
+}
+
+fn watchdog_loop(wd_policy: tagger::switch::WatchdogPolicy) {
     use tagger::audit::{checkpoint, Auditor, REPLAY_END_NS};
     use tagger::ctrl::{
-        recover, Controller, ElpPolicy, EpochOutcome, InstallPolicy, Journal, ReliableSouthbound,
-        Southbound as _,
+        recover, Controller, ElpPolicy, EpochOutcome, InstallPolicy, Journal, NoopObserver,
+        ReliableSouthbound, Southbound as _,
     };
     use tagger::scenario::quarantine_events;
     use tagger::switch::WatchdogConfig;
@@ -166,17 +174,29 @@ fn watchdog_safety_net_closes_the_loop() {
     let (baseline, _) = cx.replay(&topo, &ckpt.rules, None, REPLAY_END_NS);
     assert!(baseline.deadlock.is_some(), "baseline must deadlock");
 
-    // 3. Armed, the confirmed cycle trips and clears within two windows.
-    let cfg = WatchdogConfig::with_window(200_000);
+    // 3. Armed, the confirmed cycle trips and clears within two windows,
+    // and the in-band initial-trigger claim survives its ground-truth
+    // cross-check and names a member of its own cycle.
+    let cfg = WatchdogConfig::with_policy(200_000, wd_policy);
     let (report, _) = cx.replay(&topo, &ckpt.rules, Some(cfg), REPLAY_END_NS);
     let wd = report.watchdog.clone().expect("watchdog report");
-    assert!(wd.stats.trips >= 1);
+    assert!(wd.stats.trips >= 1, "{wd_policy:?}: watchdog must trip");
     let first = wd.first_trip_at.unwrap();
     let cleared = wd.cleared_at.expect("cycle must clear");
-    assert!(cleared - first <= 2 * cfg.window_ns);
+    assert!(cleared - first <= 2 * cfg.window_ns, "{wd_policy:?}");
+    let trig = wd.trigger.clone().expect("initial-trigger attribution");
+    assert!(trig.matches_ground_truth, "{wd_policy:?}: {trig:?}");
+    assert!(
+        trig.scc.contains(&trig.queue()),
+        "{wd_policy:?}: trigger {:?} outside its SCC {:?}",
+        trig.queue(),
+        trig.scc
+    );
 
     // 4. Trips -> quarantines -> a journaled controller that crashes
-    // after the first corrective epoch and recovers the quarantine.
+    // after the first corrective epoch and recovers the quarantine. (A
+    // single trip event finishes before the crash point; recovery must
+    // reconverge all the same.)
     let events = quarantine_events(&report);
     assert!(!events.is_empty(), "trips must map to quarantine events");
     let policy = ElpPolicy::with_bounces(1);
@@ -184,11 +204,21 @@ fn watchdog_safety_net_closes_the_loop() {
     let mut sb = ReliableSouthbound::new();
     sb.bootstrap(&ctrl.committed().rules);
     let install = InstallPolicy::default();
-    let jpath = std::env::temp_dir().join("tagger-e2e-watchdog.journal");
-    let jpath = jpath.to_str().unwrap();
-    let mut journal = Journal::create(jpath).unwrap();
+    let jpath = std::env::temp_dir().join(format!(
+        "tagger-e2e-watchdog-{wd_policy:?}-{}.journal",
+        std::process::id()
+    ));
+    let mut journal = Journal::create(&jpath).unwrap();
     let drive = journal
-        .drive(&mut ctrl, &events, &mut sb, &install, 1, Some(1))
+        .drive(
+            &mut ctrl,
+            &events,
+            &mut sb,
+            &install,
+            1,
+            Some(1),
+            &mut NoopObserver,
+        )
         .unwrap();
     let EpochOutcome::Committed(corrective) = &drive.outcomes[0] else {
         panic!("quarantine must commit, got {:?}", drive.outcomes[0]);
@@ -198,15 +228,23 @@ fn watchdog_safety_net_closes_the_loop() {
         "quarantine must stage a corrective delta"
     );
     let pre_quarantines = ctrl.state().quarantines.clone();
+    let pre_rules = ctrl.committed().rules.clone();
+    let pre_trips = ctrl.metrics().watchdog_trips;
     assert!(!pre_quarantines.is_empty());
+    assert!(pre_trips >= 1);
     drop(ctrl); // crash
 
-    let rec = recover(jpath, topo.clone(), policy, None).unwrap();
+    let rec = recover(&jpath, topo.clone(), policy, None).unwrap();
     let mut ctrl = rec.controller;
     assert_eq!(
         ctrl.state().quarantines,
         pre_quarantines,
         "quarantines must be replayed from the journal"
+    );
+    assert_eq!(
+        ctrl.committed().rules,
+        pre_rules,
+        "recovered tables must equal the crashed controller's"
     );
     ctrl.reconcile(&mut sb);
     let remaining: Vec<_> = rec
@@ -215,7 +253,7 @@ fn watchdog_safety_net_closes_the_loop() {
         .cloned()
         .chain(events.iter().skip(drive.outcomes.len() + 1).cloned())
         .collect();
-    ctrl.replay_damped_via(remaining.iter(), &mut sb, &install)
+    ctrl.replay_damped_via(&remaining, &mut sb, &install, &mut NoopObserver)
         .unwrap();
     // Cause-directed dedupe: trips sharing one attributed trigger
     // collapse into a single quarantine of the trigger hop.
@@ -234,8 +272,12 @@ fn watchdog_safety_net_closes_the_loop() {
     // 5. The corrective tables re-certify deadlock-free.
     let verdict = Auditor::new(topo.clone()).audit(ctrl.committed().epoch, &ctrl.committed().rules);
     assert!(verdict.is_certified(), "corrective tables must certify");
-    assert!(ctrl.metrics().watchdog_trips >= 1);
-    std::fs::remove_file(jpath).ok();
+    assert_eq!(
+        pre_trips + ctrl.metrics().watchdog_trips,
+        events.len() as u64,
+        "every trip event is staged exactly once across the crash"
+    );
+    std::fs::remove_file(&jpath).ok();
 }
 
 /// Path display and port resolution survive the facade re-exports.
