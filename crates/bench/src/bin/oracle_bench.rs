@@ -8,7 +8,9 @@
 //!    and Jellyfish (shortest-path ELP) instances, how does
 //!    [`tagger_core::decide`] compare against actually running the
 //!    Algorithm 1+2 pipeline (`minimize_elp` + `verify`)? The oracle's
-//!    certified tag count must never exceed the construction's.
+//!    certified tag count must never exceed the construction's. Each
+//!    row also times building the ELP itself (`elp_ms`), the stage
+//!    that precedes both, so no stage of the pipeline goes untimed.
 //! 2. *Infeasible kernels*: on flat counter-rotating rings (infeasible
 //!    at one tag by Theorem 5.1), how much does the greedy kernel
 //!    shrink cost, and does it always hand back a minimal witness?
@@ -56,7 +58,8 @@ fn fastest<T>(repeat: usize, mut f: impl FnMut() -> T) -> (f64, T) {
 
 struct FeasibleRow {
     label: String,
-    paths: usize,
+    elp_ms: f64,
+    elp_paths: usize,
     hops: usize,
     oracle_ms: f64,
     construct_ms: f64,
@@ -65,14 +68,17 @@ struct FeasibleRow {
     lower_bound: usize,
 }
 
-/// Times the oracle and the Algorithm 1+2 pipeline on one fabric whose
-/// ELP is known to be feasible; cross-checks the certified tag counts.
+/// Times building the ELP with `build`, then the oracle and the
+/// Algorithm 1+2 pipeline on that ELP, which is known to be feasible;
+/// cross-checks the certified tag counts.
 fn feasible_case(
     label: &str,
     topo: &Topology,
-    elp: &Elp,
+    build: impl Fn(&Topology) -> Elp,
     repeat: usize,
 ) -> Result<FeasibleRow, String> {
+    let (elp_ms, elp) = fastest(repeat, || build(topo));
+    let elp = &elp;
     let (oracle_ms, verdict) = fastest(repeat, || decide(topo, elp, None));
     let feas = match verdict {
         Verdict::Feasible(f) => f,
@@ -93,7 +99,8 @@ fn feasible_case(
     }
     Ok(FeasibleRow {
         label: label.to_string(),
-        paths: elp.len(),
+        elp_ms: elp_ms * 1e3,
+        elp_paths: elp.len(),
         hops: elp.paths().iter().map(Path::hops).sum(),
         oracle_ms: oracle_ms * 1e3,
         construct_ms: construct_ms * 1e3,
@@ -185,19 +192,16 @@ fn main() -> ExitCode {
     let out_path = flag(&args, "--out").unwrap_or_else(|| "BENCH_oracle.json".to_string());
 
     let mut feasible = Vec::new();
-    // The medium fabric's uncapped 1-bounce ELP is combinatorial (128
-    // hosts); cap the per-pair reroutes there, as an operator would.
-    let clos_sizes: [(&str, ClosConfig, Option<usize>); 2] = [
-        ("clos_small", ClosConfig::small(), None),
-        ("clos_medium_cap4", ClosConfig::medium(), Some(4)),
+    // The medium fabric (128 hosts) has millions of 1-bounce paths; cap
+    // the per-pair reroutes there, as an operator would.
+    let clos_sizes: [(&str, ClosConfig, usize); 2] = [
+        ("clos_small", ClosConfig::small(), usize::MAX),
+        ("clos_medium_cap4", ClosConfig::medium(), 4),
     ];
     for (label, cfg, cap) in clos_sizes {
         let topo = cfg.build();
-        let elp = match cap {
-            Some(c) => Elp::updown_with_bounces_capped(&topo, 1, c),
-            None => Elp::updown_with_bounces(&topo, 1),
-        };
-        match feasible_case(label, &topo, &elp, repeat) {
+        let build = |t: &Topology| Elp::updown_with_bounces_capped(t, 1, cap);
+        match feasible_case(label, &topo, build, repeat) {
             Ok(row) => feasible.push(row),
             Err(e) => {
                 eprintln!("oracle_bench: {e}");
@@ -208,9 +212,8 @@ fn main() -> ExitCode {
     for (switches, ports) in [(20usize, 6usize), (40, 8)] {
         let cfg = JellyfishConfig::half_servers(switches, ports, 7);
         let topo = cfg.build();
-        let elp = Elp::shortest(&topo, 1, false);
         let label = format!("jellyfish_{switches}x{ports}");
-        match feasible_case(&label, &topo, &elp, repeat) {
+        match feasible_case(&label, &topo, |t| Elp::shortest(t, 1, false), repeat) {
             Ok(row) => feasible.push(row),
             Err(e) => {
                 eprintln!("oracle_bench: {e}");
@@ -232,8 +235,8 @@ fn main() -> ExitCode {
 
     for r in &feasible {
         println!(
-            "{:<16} {:>6} paths {:>7} hops  oracle {:>8.2} ms ({} tags, floor {})  construct {:>8.2} ms ({} tags)",
-            r.label, r.paths, r.hops, r.oracle_ms, r.oracle_tags, r.lower_bound,
+            "{:<16} {:>6} paths {:>7} hops  elp {:>8.2} ms  oracle {:>8.2} ms ({} tags, floor {})  construct {:>8.2} ms ({} tags)",
+            r.label, r.elp_paths, r.hops, r.elp_ms, r.oracle_ms, r.oracle_tags, r.lower_bound,
             r.construct_ms, r.construct_tags,
         );
     }
@@ -255,12 +258,13 @@ fn main() -> ExitCode {
     for (i, r) in feasible.iter().enumerate() {
         let _ = writeln!(
             json,
-            "    {{ \"fabric\": \"{}\", \"paths\": {}, \"hops\": {}, \"oracle_ms\": {:.2}, \
-             \"construct_ms\": {:.2}, \"oracle_tags\": {}, \"construct_tags\": {}, \
-             \"lower_bound_tags\": {} }}{}",
+            "    {{ \"fabric\": \"{}\", \"elp_paths\": {}, \"hops\": {}, \"elp_ms\": {:.2}, \
+             \"oracle_ms\": {:.2}, \"construct_ms\": {:.2}, \"oracle_tags\": {}, \
+             \"construct_tags\": {}, \"lower_bound_tags\": {} }}{}",
             r.label,
-            r.paths,
+            r.elp_paths,
             r.hops,
+            r.elp_ms,
             r.oracle_ms,
             r.construct_ms,
             r.oracle_tags,

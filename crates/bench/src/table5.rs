@@ -8,7 +8,7 @@
 
 use tagger_core::tcam::{Compression, TcamProgram};
 use tagger_core::{Elp, Tagging};
-use tagger_routing::{bounce_paths_between_capped, shortest_paths_all_pairs, Path};
+use tagger_routing::{shortest_paths_all_pairs, Path, PathsTo};
 use tagger_topo::{FailureSet, JellyfishConfig, Topology};
 
 /// One row of the Table 5 reproduction.
@@ -121,16 +121,17 @@ pub fn random_paths(topo: &Topology, count: usize, seed: u64) -> Vec<Path> {
 pub fn clos_bounce_row(topo: &Topology, k: usize, cap_per_pair: usize) -> (usize, usize, usize) {
     let optimal = tagger_core::clos::clos_tagging(topo, k).expect("clos fabric");
     let paths = {
+        let healthy = FailureSet::none();
         let hosts: Vec<_> = topo.host_ids().collect();
+        let targets: Vec<_> = hosts
+            .iter()
+            .map(|&d| PathsTo::new(topo, &healthy, d))
+            .collect();
         let mut v = Vec::new();
         for &s in &hosts {
-            for &d in &hosts {
-                if s == d {
-                    continue;
-                }
+            for to in &targets {
                 for j in 0..=k {
-                    let all =
-                        bounce_paths_between_capped(topo, &FailureSet::none(), s, d, j, usize::MAX);
+                    let all = to.enumerate(s, j, usize::MAX);
                     v.extend(
                         all.into_iter()
                             .filter(|p| p.bounces(topo) == j)

@@ -9,6 +9,8 @@
 //! - [`bounce_paths_between`] / [`all_paths_with_bounces`] — the k-bounce
 //!   expansion of an up-down ELP (paper §4.3): paths that violate the
 //!   up-down rule at most `k` times, the result of failures and reroutes.
+//!   [`PathsTo`] holds one destination's prune tables for callers that
+//!   enumerate many sources towards it.
 //! - [`shortest_paths_between`] / [`ShortestPaths`] — BFS shortest-path
 //!   enumeration for unstructured (Jellyfish) fabrics.
 //! - [`bcube_paths`] — BCube's default single-path routing.
@@ -32,8 +34,8 @@ mod updown;
 
 pub use bcube::bcube_paths;
 pub use bcube::{bcube_route, bcube_route_rotated};
-pub use bounce::bounce_paths_between_capped;
 pub use bounce::{all_paths_with_bounces, bounce_paths_between};
+pub use bounce::{bounce_paths_between_capped, PathsTo};
 pub use fib::{EcmpMode, Fib};
 pub use path::{Path, PathError};
 pub use shortest::enumerate_from_dag;

@@ -30,15 +30,7 @@ pub fn updown_paths_between(
 /// and medium fabrics used in tests and experiments.
 pub fn updown_paths(topo: &Topology, failures: &FailureSet) -> Vec<Path> {
     let hosts: Vec<NodeId> = topo.host_ids().collect();
-    let mut out = Vec::new();
-    for &s in &hosts {
-        for &d in &hosts {
-            if s != d {
-                out.extend(updown_paths_between(topo, failures, s, d));
-            }
-        }
-    }
-    out
+    crate::bounce::all_pairs(topo, failures, &hosts, 0, usize::MAX)
 }
 
 /// Enumerates up-down paths between all ordered pairs of *switches* of the
@@ -54,15 +46,7 @@ pub fn updown_paths_between_switches(topo: &Topology, failures: &FailureSet) -> 
                 .any(|(_, _, n)| topo.node(n).kind == NodeKind::Host)
         })
         .collect();
-    let mut out = Vec::new();
-    for &s in &tors {
-        for &d in &tors {
-            if s != d {
-                out.extend(crate::bounce::bounce_paths_between(topo, failures, s, d, 0));
-            }
-        }
-    }
-    out
+    crate::bounce::all_pairs(topo, failures, &tors, 0, usize::MAX)
 }
 
 #[cfg(test)]

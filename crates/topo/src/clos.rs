@@ -67,6 +67,22 @@ impl ClosConfig {
         self.pods * self.tors_per_pod * self.hosts_per_tor
     }
 
+    /// Refuses a configuration [`ClosConfig::build`] would panic on: one
+    /// with a zero dimension. The message suits a CLI's stderr.
+    pub fn validate(&self) -> Result<(), String> {
+        let dims = [
+            self.pods,
+            self.leaves_per_pod,
+            self.tors_per_pod,
+            self.spines,
+            self.hosts_per_tor,
+        ];
+        if dims.contains(&0) {
+            return Err("every Clos dimension must be at least 1".into());
+        }
+        Ok(())
+    }
+
     /// Builds the topology.
     ///
     /// Construction order (and therefore `NodeId` order) is: spines, then
@@ -77,11 +93,7 @@ impl ClosConfig {
     /// Panics if any dimension is zero.
     pub fn build(&self) -> Topology {
         assert!(
-            self.pods > 0
-                && self.leaves_per_pod > 0
-                && self.tors_per_pod > 0
-                && self.spines > 0
-                && self.hosts_per_tor > 0,
+            self.validate().is_ok(),
             "all Clos dimensions must be positive"
         );
         let mut t = Topology::new();
@@ -229,6 +241,26 @@ mod tests {
                     )
                     .is_some());
             }
+        }
+    }
+
+    #[test]
+    fn validate_refuses_every_zero_dimension() {
+        assert!(ClosConfig::small().validate().is_ok());
+        let zeroed: [fn(&mut ClosConfig); 5] = [
+            |c| c.pods = 0,
+            |c| c.leaves_per_pod = 0,
+            |c| c.tors_per_pod = 0,
+            |c| c.spines = 0,
+            |c| c.hosts_per_tor = 0,
+        ];
+        for zero in zeroed {
+            let mut c = ClosConfig::small();
+            zero(&mut c);
+            assert_eq!(
+                c.validate(),
+                Err("every Clos dimension must be at least 1".to_string())
+            );
         }
     }
 

@@ -133,6 +133,7 @@ fn setup(args: &[String]) -> Result<(Args, ClosConfig, ElpPolicy, Option<usize>)
         spines: get(flags, "spines", 2)?,
         hosts_per_tor: get(flags, "hosts", 4)?,
     };
+    config.validate()?;
     let policy = ElpPolicy::with_bounces(get(flags, "bounces", 1)?);
     let budget = match flags.get("tcam-budget") {
         None => None,

@@ -105,14 +105,15 @@ fn cmd_check(rest: &[String]) -> Result<ExitCode, String> {
             None => return Err(format!("--elp wants `updown` or `bounces=K`, got {spec:?}")),
         },
     };
-    let trace_topo = ClosConfig {
+    let trace_config = ClosConfig {
         pods: get(&flags, "pods", 2)?,
         leaves_per_pod: get(&flags, "leaves", 2)?,
         tors_per_pod: get(&flags, "tors", 2)?,
         spines: get(&flags, "spines", 2)?,
         hosts_per_tor: get(&flags, "hosts", 4)?,
-    }
-    .build();
+    };
+    trace_config.validate()?;
+    let trace_topo = trace_config.build();
     let tag_budget = match flags.get("budget") {
         None => None,
         Some(v) => Some(

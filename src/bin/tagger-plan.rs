@@ -211,10 +211,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                 spines: get(&flags, "spines", 2)?,
                 hosts_per_tor: get(&flags, "hosts", 4)?,
             };
-            let dims = [cfg.pods, cfg.leaves_per_pod, cfg.tors_per_pod, cfg.spines];
-            if dims.contains(&0) || cfg.hosts_per_tor == 0 {
-                return Err("every Clos dimension must be at least 1".into());
-            }
+            cfg.validate()?;
             let topo = cfg.build();
             let k = get(&flags, "bounces", 1)?;
             println!("plan: clos {cfg:?}, {k}-bounce lossless service\n");
